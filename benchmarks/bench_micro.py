@@ -180,13 +180,14 @@ def test_monitor_full_run_dense_arena(benchmark, policy_name):
 
 
 def test_mirror_growth_amortized(benchmark):
-    """Regression guard: mirror growth stays geometric, not per-batch.
+    """Regression guard: column growth stays geometric, not per-batch.
 
-    Registers a dense instance's CEIs one at a time with a sync after
-    every registration — the worst-case append pattern — and asserts the
-    pool reallocated its NumPy mirrors only O(log rows) times.  If the
-    capacity-doubled arrays ever regress to per-batch reallocation this
-    count explodes (one per sync) and the timing collapses.
+    Registers a dense instance's CEIs one at a time — the worst-case
+    append pattern, every registration writing its rows straight into the
+    NumPy columns — and asserts the pool reallocated its columns only
+    O(log rows) times.  If the capacity-doubled arrays ever regress to
+    per-registration reallocation this count explodes and the timing
+    collapses.
     """
     from repro.online.fastpath import FastCandidatePool
 
@@ -197,13 +198,12 @@ def test_mirror_growth_amortized(benchmark):
         pool = FastCandidatePool()
         for cei in ceis:
             pool.register(cei, 0)
-            pool.sync_mirrors()
         return pool
 
     pool = benchmark(register_all)
     rows = len(pool.row_seq)
     assert rows > 4000
-    # Row + CEI mirrors each double from their initial capacity.
+    # Row + CEI columns each double from their initial capacity.
     bound = 2 * (int(np.ceil(np.log2(rows))) + 2)
     assert pool.mirror_reallocs <= bound
     benchmark.extra_info["rows"] = rows
@@ -327,7 +327,6 @@ def test_kernel_batch_scoring_vs_python_loop(benchmark, bag_size):
         pool.register(cei, 0)
         if len(pool.row_seq) >= bag_size:
             break
-    pool.sync_mirrors()
     # Scoring doesn't require window-open rows; any registered row works.
     rows = np.arange(min(bag_size, len(pool.row_seq)))
     eis = [pool._row_ei[row] for row in rows.tolist()]

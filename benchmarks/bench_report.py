@@ -204,7 +204,6 @@ def kernel_scoring_cells(reps: int) -> list[dict]:
             pool.register(cei, 0)
             if len(pool.row_seq) >= bag_size:
                 break
-        pool.sync_mirrors()
         # Scoring doesn't require window-open rows; any registered row works.
         rows = np.arange(min(bag_size, len(pool.row_seq)))
         eis = [pool._row_ei[row] for row in rows.tolist()]

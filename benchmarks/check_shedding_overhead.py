@@ -1,11 +1,11 @@
 """Regression gate: the shedding machinery stays within 2% of baseline.
 
-The shedding subsystem threads release checks through both pools' hot
-loops (``open_windows``/``close_windows``/``_cannot_satisfy``) and a
-per-chronon detector tick through the monitor.  With
-``MonitorConfig.shedding`` unset — the default every existing workload
-runs under — all of that must collapse to truthiness tests on an empty
-set; with it set but never triggered, the only addition is the
+The shedding subsystem threads release checks through both pools' window
+events (the reference pool's released-seq set, the vectorized pool's
+released row state) and a per-chronon detector tick through the monitor.
+With ``MonitorConfig.shedding`` unset — the default every existing
+workload runs under — the release checks must cost next to nothing; with
+it set but never triggered, the only addition is the
 per-chronon tick plus the loss of ``run()``'s event-free-span batching
 (armed shedding needs a tick every chronon, so that modal difference is
 by design and not what this gate bounds).
@@ -83,8 +83,8 @@ def untriggerable() -> SheddingConfig:
 def tick_cost() -> float:
     """Seconds per idle ``LoadShedder.tick`` (never-overloaded path).
 
-    The idle tick's cost is size-independent (``num_active`` is a bag
-    ``len``), so an empty fast pool stands in for the loaded one.
+    The idle tick's cost is size-independent (``num_active`` reads a
+    counter), so an empty fast pool stands in for the loaded one.
     """
     shedder = LoadShedder(untriggerable())
     pool = FastCandidatePool()

@@ -13,12 +13,13 @@ future-work extension) and runtime-per-EI accounting (Section V-D).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Collection, Optional
 
 from repro.core.errors import ModelError
 from repro.core.profile import ProfileSet
-from repro.core.schedule import Schedule
+from repro.core.schedule import Schedule, scoring_window
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +80,19 @@ def evaluate_schedule(
     partial probe failures (``OnlineMonitor.dropped_captures``); the named
     probes did not retrieve those EIs' data, so they are excluded from the
     capture indicators.
+
+    Each EI is answered from a per-resource sorted index of probe
+    chronons: one ``bisect`` finds the first probe at or after the window
+    start, and the EI is captured iff that probe (or, past ``dropped``
+    ones, a later probe) still lies inside the window — the same
+    indicator as :meth:`repro.core.schedule.Schedule.captures_ei`.
     """
+    index: dict[int, list[int]] = {}  # resource -> its probe chronons, ascending
+    for chronon in sorted(schedule.probes):
+        for resource in schedule.probes[chronon]:
+            index.setdefault(resource, []).append(chronon)
+    if dropped and not isinstance(dropped, (set, frozenset)):
+        dropped = set(dropped)
     num_ceis = 0
     captured_ceis = 0
     num_eis = 0
@@ -96,11 +109,16 @@ def evaluate_schedule(
         captured_here = 0
         for ei in cei.eis:
             num_eis += 1
-            if schedule.captures_ei(
-                ei, use_true_window=use_true_window, dropped=dropped
-            ):
+            start, finish = scoring_window(ei, use_true_window)
+            probes = index.get(ei.resource, ())
+            i = bisect_left(probes, start)
+            while i < len(probes) and probes[i] <= finish:
+                if dropped and (ei.resource, probes[i], ei.seq) in dropped:
+                    i += 1  # this probe missed the EI; a later one may not
+                    continue
                 captured_eis += 1
                 captured_here += 1
+                break
         if cei.satisfied_by_count(captured_here):
             captured_ceis += 1
             weight_captured += cei.weight

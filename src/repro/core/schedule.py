@@ -230,18 +230,7 @@ class Schedule:
         probe listed there did not retrieve *this* EI's data, so it does
         not count as a capture.
         """
-        if use_true_window:
-            # Not an assert: under ``python -O`` an assert vanishes and the
-            # range() below would raise a bare TypeError on None bounds.
-            if ei.true_start is None or ei.true_finish is None:
-                raise ModelError(
-                    f"EI {ei.seq} on resource {ei.resource} has no ground-truth "
-                    "window; attach true_start/true_finish or score with "
-                    "use_true_window=False"
-                )
-            start, finish = ei.true_start, ei.true_finish
-        else:
-            start, finish = ei.start, ei.finish
+        start, finish = scoring_window(ei, use_true_window)
         resource = ei.resource
         seq = ei.seq
         # Iterate the shorter side: window chronons vs. probe chronons.
@@ -291,6 +280,27 @@ class Schedule:
                     )
                 matrix[resource][chronon] = 1
         return matrix
+
+
+def scoring_window(
+    ei: ExecutionInterval, use_true_window: bool = True
+) -> tuple[Chronon, Chronon]:
+    """The closed window a probe must fall in to capture ``ei``.
+
+    The ground-truth window with ``use_true_window`` (how the paper
+    scores noisy runs), else the scheduling window the proxy believes.
+    """
+    if use_true_window:
+        # Not an assert: under ``python -O`` an assert vanishes and callers
+        # would fail with a bare TypeError on None bounds.
+        if ei.true_start is None or ei.true_finish is None:
+            raise ModelError(
+                f"EI {ei.seq} on resource {ei.resource} has no ground-truth "
+                "window; attach true_start/true_finish or score with "
+                "use_true_window=False"
+            )
+        return ei.true_start, ei.true_finish
+    return ei.start, ei.finish
 
 
 def probes_remaining(

@@ -36,7 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.core.timebase import Chronon
+from repro.online import fastpath
 from repro.online.candidates import CandidatePool, CEIState
 from repro.online.fastpath import FastCandidatePool
 
@@ -184,44 +187,35 @@ def fast_pool_from_reference(pool: CandidatePool, now: Chronon) -> FastCandidate
       the active bag — pending ones stay on the activation timeline so
       the future->open aggregate move still fires at their ``start``.
 
-    The result is always an *incremental* pool (never arena-backed), so
-    later registrations keep working.
+    The result is always an *incremental* pool (built on a private
+    arena written here directly), so later registrations keep working.
     """
     fast = FastCandidatePool()
-    # Shed-released EIs migrate as a set: their rows materialize like any
-    # uncaptured row (keeping the M-EDF aggregate forms and the pending
-    # future->open move), but they never join the active bag.
-    fast._released_seqs = set(pool._released_seqs)
-    released = fast._released_seqs
-    states = pool._states.values()
-    total = 0
-    for st in states:
-        closed = st.closed
-        captured = st.captured
-        for ei in st.cei.eis:
-            if ei.seq in captured or (not closed and ei.finish > now):
-                total += 1
-    if total > fast._row_cap:
-        # _activate_row writes np_active[row] directly: size rows up front.
-        fast._grow_rows(total)
-
-    for st in states:
+    arena = fast._arena
+    released = pool._released_seqs
+    status: list[int] = []
+    captured_counts: list[int] = []
+    usable: list[int] = []
+    captured_rows: list[int] = []
+    released_rows: list[int] = []
+    active_rows: list[int] = []
+    for st in pool._states.values():
         cei = st.cei
         captured = st.captured
         closed = st.closed
-        cidx = len(fast.cei_rank)
-        fast._cidx_of_cid[cei.cid] = cidx
-        fast._cei_obj.append(cei)
-        fast.cei_rank.append(len(cei.eis))
-        fast.cei_required.append(cei.required)
-        fast.cei_captured.append(len(captured))
-        fast.cei_weight.append(cei.weight)
-        fast.cei_satisfied.append(st.satisfied)
-        fast.cei_failed.append(st.failed)
-        fast.cei_cancelled.append(st.cancelled)
-        fast.cei_row_begin.append(len(fast.row_seq))
+        cidx = len(arena.cei_rank)
+        arena.cidx_of_cid[cei.cid] = cidx
+        arena.cei_obj.append(cei)
+        arena.cei_release.append(now)
+        arena.cei_rank.append(len(cei.eis))
+        arena.cei_required.append(cei.required)
+        arena.cei_weight.append(cei.weight)
+        arena.cei_failed0.append(False)
+        arena.cei_row_begin.append(len(arena.row_seq))
+        arena.immediate_rows.append([])
         medf_s = 0
         medf_open = 0
+        live = 0
         for ei in cei.eis:
             is_captured = ei.seq in captured
             if not closed and not is_captured:
@@ -232,31 +226,52 @@ def fast_pool_from_reference(pool: CandidatePool, now: Chronon) -> FastCandidate
                     medf_s += ei.finish - ei.start + 1
             if not (is_captured or (not closed and ei.finish > now)):
                 continue
-            row = len(fast.row_seq)
-            fast.row_seq.append(ei.seq)
-            fast.row_finish.append(ei.finish)
-            fast.row_resource.append(ei.resource)
-            fast.row_cidx.append(cidx)
-            fast.row_captured.append(is_captured)
-            fast._row_ei.append(ei)
-            fast._row_of_seq[ei.seq] = row
+            row = len(arena.row_seq)
+            arena.row_seq.append(ei.seq)
+            arena.row_start.append(ei.start)
+            arena.row_finish.append(ei.finish)
+            arena.row_resource.append(ei.resource)
+            arena.row_cidx.append(cidx)
+            arena.row_ei.append(ei)
+            arena.row_of_seq[ei.seq] = row
+            if is_captured:
+                captured_rows.append(row)
+            elif ei.seq in released:
+                released_rows.append(row)
+            else:
+                live += 1
             if not is_captured:
-                if ei.start <= now:
-                    if ei.seq not in released:
-                        fast._activate_row(row, ei.resource)
-                else:
-                    fast._to_activate.setdefault(ei.start, []).append(row)
+                if ei.start > now:
+                    arena.activate_at.setdefault(ei.start, []).append(row)
+                elif ei.seq not in released:
+                    active_rows.append(row)
             if ei.finish > now:
-                fast._to_expire.setdefault(ei.finish, []).append(row)
-        fast.cei_row_end.append(len(fast.row_seq))
-        fast.cei_medf_s.append(medf_s)
-        fast.cei_medf_open.append(medf_open)
+                arena.expire_at.setdefault(ei.finish, []).append(row)
+        arena.cei_row_end.append(len(arena.row_seq))
+        arena.cei_medf_s0.append(medf_s)
+        arena.cei_medf_open0.append(medf_open)
+        status.append(
+            fastpath.SATISFIED if st.satisfied
+            else fastpath.FAILED if st.failed
+            else fastpath.CANCELLED if st.cancelled
+            else fastpath.OPEN
+        )
+        captured_counts.append(len(captured))
+        usable.append(len(captured) + live)
 
+    fast._extend()
+    m = len(status)
+    fast.npc_status[:m] = status
+    fast.npc_captured_f[:m] = captured_counts
+    fast.npc_usable_f[:m] = usable
+    fast.npr_state[captured_rows] = fastpath.CAPTURED
+    fast.npr_state[released_rows] = fastpath.RELEASED
+    fast._num_released = len(released_rows)
+    fast._activate(np.array(active_rows, np.int64))
     fast._num_registered = pool._num_registered
     fast._num_satisfied = pool._num_satisfied
     fast._num_failed = pool._num_failed
     fast._num_cancelled = pool._num_cancelled
-    # _synced_rows/_synced_ceis stay 0: the first sync_mirrors bulk-syncs.
     return fast
 
 
@@ -266,53 +281,49 @@ def reference_pool_from_fast(pool: FastCandidatePool, now: Chronon) -> Candidate
     Activation order of the rebuilt active set is sorted by row index
     (registration order) — deterministic, and only observable to
     iteration-order-sensitive policies, which have no kernel and
-    therefore never dispatch.  Timelines come from the pool's own dicts
-    (incremental pools; keys still pending are copied verbatim) or from
-    the arena's shared timelines filtered to *registered* CEIs
-    (arena-backed pools read them without popping; entries of closed or
-    captured rows are kept — the reference pool pop-skips them exactly
-    like the fast pool does).
+    therefore never dispatch.  Timelines come from the pool's arena
+    (a shared arena's or its private one), filtered to *registered*
+    CEIs and chronons still ahead; entries of closed or captured rows
+    are kept — the reference pool pop-skips them exactly like the fast
+    pool does.
     """
     ref = CandidatePool()
-    ref._released_seqs = set(pool._released_seqs)
-    registered = pool._registered  # None for incremental pools
     row_seq = pool.row_seq
     row_cidx = pool.row_cidx
-    for cidx in range(len(pool.cei_rank)):
-        if registered is not None and not registered[cidx]:
+    row_ei = pool._row_ei
+    states = pool.npr_state[: pool._n_rows]
+    ref._released_seqs = {
+        row_seq[row] for row in np.flatnonzero(states == fastpath.RELEASED).tolist()
+    }
+    captured_rows = set(np.flatnonzero(states == fastpath.CAPTURED).tolist())
+    status = pool.npc_status[: pool._n_ceis].tolist()
+    for cidx, code in enumerate(status):
+        if code == fastpath.PENDING:
             continue
         cei = pool._cei_obj[cidx]
         st = CEIState(cei=cei)
-        st.satisfied = pool.cei_satisfied[cidx]
-        st.failed = pool.cei_failed[cidx]
-        st.cancelled = pool.cei_cancelled[cidx]
+        st.satisfied = code == fastpath.SATISFIED
+        st.failed = code == fastpath.FAILED
+        st.cancelled = code == fastpath.CANCELLED
         for row in range(pool.cei_row_begin[cidx], pool.cei_row_end[cidx]):
-            if pool.row_captured[row]:
+            if row in captured_rows:
                 st.captured.add(row_seq[row])
         ref._states[cei.cid] = st
-    row_ei = pool._row_ei
-    for row in sorted(pool.active_set):
+    for row in pool.bag().tolist():
         ref._activate(row_ei[row])
     arena = pool._arena
-    if arena is not None:
-        assert registered is not None
-        for chronon, rows in arena.activate_at.items():
+    for timeline, target in (
+        (arena.activate_at, ref._to_activate),
+        (arena.expire_at, ref._to_expire),
+    ):
+        for chronon, rows in timeline.items():
             if chronon <= now:
                 continue
-            eis = [row_ei[r] for r in rows if registered[row_cidx[r]]]
+            eis = [
+                row_ei[r] for r in rows if status[row_cidx[r]] != fastpath.PENDING
+            ]
             if eis:
-                ref._to_activate[chronon] = eis
-        for chronon, rows in arena.expire_at.items():
-            if chronon <= now:
-                continue
-            eis = [row_ei[r] for r in rows if registered[row_cidx[r]]]
-            if eis:
-                ref._to_expire[chronon] = eis
-    else:
-        for chronon, rows in pool._to_activate.items():
-            ref._to_activate[chronon] = [row_ei[r] for r in rows]
-        for chronon, rows in pool._to_expire.items():
-            ref._to_expire[chronon] = [row_ei[r] for r in rows]
+                target[chronon] = eis
     ref._num_registered = pool._num_registered
     ref._num_satisfied = pool._num_satisfied
     ref._num_failed = pool._num_failed

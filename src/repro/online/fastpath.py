@@ -5,17 +5,23 @@ the heap in ``OnlineMonitor._probe_phase``) pays the paper's ``O(A log A)``
 chronon bound in pure-Python ``sort_key`` calls.  This module provides the
 ``engine="vectorized"`` alternative:
 
-* :class:`FastCandidatePool` — a structure-of-arrays mirror of the
-  candidate state.  Every execution interval of every registered CEI
-  occupies one row (rows of one CEI are contiguous), and per-CEI state
-  (rank, captured count, the M-EDF aggregates) lives in parallel CEI-level
-  columns.  Each column exists twice: a plain-Python list that absorbs the
-  per-event bookkeeping (registration, window events, captures — all O(1)
-  scalar updates, where NumPy element access would cost more than the
-  work), and a NumPy mirror (``npr_*`` row columns, ``npc_*`` CEI columns)
-  that the scoring kernels and the ``lexsort`` consume.  Mirrors are
-  synchronized lazily at phase start: appended rows/CEIs by bulk slice
-  assignment, mutated CEIs from a dirty set.
+* :class:`FastCandidatePool` — a columnar candidate table.  Every usable
+  execution interval of every CEI occupies one row (rows of one CEI are
+  contiguous).  The *static* columns come from a compiled
+  :class:`repro.sim.arena.InstanceArena` — shared with every other pool
+  of that arena — or from the pool's own private arena, which
+  registration extends one CEI at a time.  The *per-run* state has
+  exactly one representation, NumPy columns: the row state
+  (``npr_state``: live / captured / released / expired), the candidate
+  bag mask (``np_active``), the CEI status (``npc_status``), the
+  captured counts and M-EDF aggregates the kernels read
+  (``npc_captured_f``, ``npc_medf_s_f``, ``npc_medf_open_f``) and the
+  reachable-capture counts the expiry check reads (``npc_usable_f``).
+  Per-resource bag counts are derived from the bag when asked for, not
+  kept as a second copy of the mask.  Window events and captures are
+  mask writes over the rows they touch, with the aggregates updated by
+  ``np.add.at`` — a fixed number of NumPy calls per event, whatever its
+  size.
 * :func:`run_fast_phases` — the vectorized ``probeEIs`` loop.  Each phase
   batch-scores the whole candidate bag with one
   :class:`repro.policies.kernels.ScoreKernel` call, then *selects* rather
@@ -30,11 +36,15 @@ chronon bound in pure-Python ``sort_key`` calls.  This module provides the
   invalidation — the same invariant the reference heap maintains, at
   ``O(A + k log k)`` per phase instead of ``O(A log A)``.
 
-Pools can also be built from a pre-compiled
-:class:`repro.sim.arena.InstanceArena` (``FastCandidatePool(arena=...)``)
-which shares the immutable row/CEI columns and mirrors across every
-policy run of one problem instance and skips the per-EI registration
-walk entirely.
+Some static columns are also kept as the arena's Python lists, because
+code reads them one scalar at a time and a list index is several times
+cheaper than a NumPy scalar read: ``row_finish``, ``row_seq`` and
+``row_resource`` (the probe walk's tie-break key and probed-resource
+check per candidate it inspects), ``cei_row_begin``/``cei_row_end``
+(the sibling refresh walks a touched CEI's rows), ``cei_weight`` (the
+weighted kernels' scalar re-score), ``row_cidx`` (single-row lookups),
+and ``row_ei``/``cei_obj`` (the objects the pool API hands out).  None
+of them is run state: nothing a run does writes them.
 
 The two engines are interchangeable: for any deterministic policy they
 produce bit-for-bit identical schedules, probe counts and completeness
@@ -51,7 +61,7 @@ implements in full).
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +87,48 @@ _EPS = 1e-9
 TOPK_ENABLED = True
 TOPK_OVERFLOW = 32
 TOPK_GROWTH = 4
+
+# CEI status codes (``npc_status``).  PENDING marks a CEI compiled into
+# the arena but not yet revealed to this run.
+PENDING, OPEN, SATISFIED, FAILED, CANCELLED = range(5)
+
+# Row state codes (``npr_state``).  A LIVE row is uncaptured and still
+# capturable — pending or in the bag; bag membership is ``np_active``.
+LIVE, CAPTURED, RELEASED, EXPIRED = range(4)
+
+# Static NumPy columns (arena-shared, or owned and grown with a private
+# arena) and per-run state columns, per row and per CEI.
+_STATIC_ROW = (
+    "npr_seq", "npr_start_f", "npr_finish", "npr_finish_f", "npr_resource",
+    "npr_cidx", "npr_static",
+)
+_STATIC_CEI = (
+    "npc_rank_f", "npc_weight", "npc_required_f", "npc_row_begin", "npc_row_end",
+)
+_RUN_ROW = (("np_active", bool), ("npr_state", np.int8))
+_RUN_CEI = (
+    ("npc_status", np.int8),
+    ("npc_captured_f", np.float64),
+    ("npc_medf_s_f", np.float64),
+    ("npc_medf_open_f", np.float64),
+    ("npc_usable_f", np.float64),
+)
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """``values`` without repeats (in no particular order)."""
+    if values.size < 2:
+        return values
+    return np.array(list(set(values.tolist())), np.int64)
+
+
+def _ranges(begin: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """Concatenation of ``arange(b, e)`` over the (at least one) pairs."""
+    if begin.size == 1:
+        return np.arange(begin[0], end[0])
+    lens = end - begin
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1]) + np.repeat(begin - ends + lens, lens)
 
 
 class FastCEIView:
@@ -108,303 +160,236 @@ class FastCEIView:
 
 
 class FastCandidatePool:
-    """Structure-of-arrays implementation of the candidate pool.
+    """Columnar implementation of the candidate pool.
 
     Implements the same public surface as
     :class:`repro.online.candidates.CandidatePool` (including the
     :class:`repro.policies.base.MonitorView` protocol), so reference-path
     policies and the monitor's fallback ranking loop run against it
     unchanged, while the vectorized probe loop reads the columns directly.
+
+    Invariants (``tests/pool_audit.py`` recomputes each from the row
+    states and the arena): a row is in the bag iff it is LIVE, its window
+    has opened and its CEI is OPEN; ``npc_captured_f`` counts CAPTURED
+    rows; ``npc_medf_s_f``/``npc_medf_open_f`` are the M-EDF ``S`` and
+    ``n_open`` of the CEI's uncaptured siblings; ``npc_usable_f`` is the
+    captured count plus the LIVE rows.
     """
 
     def __init__(self, arena: Optional["InstanceArena"] = None) -> None:
-        #: Mirror-capacity reallocations performed so far.  Growth is
-        #: geometric (capacity doubling), so this stays O(log rows) for
-        #: any registration stream — bench_micro's mirror-growth bench
-        #: and tests/test_fastpath_equivalence.py guard the bound.
+        #: Column reallocations performed so far.  Growth is geometric
+        #: (capacity doubling), so this stays O(log rows) for any
+        #: registration stream — bench_micro's growth bench and
+        #: tests/test_fastpath_equivalence.py guard the bound.
         self.mirror_reallocs = 0
-        if arena is not None:
-            self._init_from_arena(arena)
-            return
-        self._arena: Optional["InstanceArena"] = None
-        self._registered: Optional[bytearray] = None
-        # Row-level columns (one row per usable EI; Python side).
-        self.row_seq: list[int] = []
-        self.row_finish: list[int] = []
-        self.row_resource: list[int] = []
-        self.row_cidx: list[int] = []
-        self.row_captured: list[bool] = []
-        self._row_ei: list[ExecutionInterval] = []
-        self.active_set: set[int] = set()
-        # Authoritative bag mask, updated per activation/deactivation —
-        # one np.flatnonzero extracts the whole bag per phase.
-        self.np_active = np.zeros(256, bool)
+        self._owns_arena = arena is None
+        if arena is None:
+            from repro.sim.arena import empty_arena  # lazy: import cycle
 
-        # CEI-level columns (Python side).
-        self.cei_rank: list[int] = []
-        self.cei_required: list[int] = []
-        self.cei_captured: list[int] = []
-        self.cei_weight: list[float] = []
-        self.cei_satisfied: list[bool] = []
-        self.cei_failed: list[bool] = []
-        self.cei_cancelled: list[bool] = []
-        self.cei_medf_s: list[int] = []
-        self.cei_medf_open: list[int] = []
-        self.cei_row_begin: list[int] = []
-        self.cei_row_end: list[int] = []
-        self._cei_obj: list[ComplexExecutionInterval] = []
-
-        # NumPy mirrors consumed by the kernels and the lexsort.  Appended
-        # entries sync in bulk; mutated CEIs sync from the dirty set.
-        cap = 256
-        self._row_cap = cap
-        self.npr_seq = np.zeros(cap, np.int64)
-        self.npr_finish = np.zeros(cap, np.int64)
-        self.npr_finish_f = np.zeros(cap, np.float64)
-        self.npr_resource = np.zeros(cap, np.int64)
-        self.npr_cidx = np.zeros(cap, np.int64)
-        # Static per-row tie-break key: finish * 2^21 + seq orders rows
-        # exactly like the lexicographic (finish, seq) pair as long as both
-        # components stay below 2^21 (_packable tracks this); one int64
-        # column then replaces two lexsort key levels per phase.
-        self.npr_static = np.zeros(cap, np.int64)
-        self._synced_rows = 0
-        self._max_seq = 0
-        self._max_finish = 0
-        self._packable = True
-        ccap = 64
-        self._cei_cap = ccap
-        self.npc_rank_f = np.zeros(ccap, np.float64)
-        self.npc_captured_f = np.zeros(ccap, np.float64)
-        self.npc_weight = np.ones(ccap, np.float64)
-        self.npc_medf_s_f = np.zeros(ccap, np.float64)
-        self.npc_medf_open_f = np.zeros(ccap, np.float64)
-        self._synced_ceis = 0
-        self._dirty_ceis: set[int] = set()
-
-        self._row_of_seq: dict[int, int] = {}
-        self._cidx_of_cid: dict[int, int] = {}
-        self._by_resource: dict[ResourceId, set[int]] = {}
-        self._to_activate: dict[Chronon, list[int]] = {}
-        self._to_expire: dict[Chronon, list[int]] = {}
-        # EI seqs withdrawn by load shedding: deactivated for good but
-        # still contributing to the M-EDF aggregates (the reference
-        # sibling walk counts them too; see repro.online.shedding).
-        self._released_seqs: set[int] = set()
+            arena = empty_arena()
+            self._row_cap, self._cei_cap = 256, 64
+        else:
+            self._row_cap = max(len(arena.row_seq), 1)
+            self._cei_cap = max(len(arena.cei_rank), 1)
+        for name, dtype in _RUN_ROW:
+            setattr(self, name, np.zeros(self._row_cap, dtype))
+        for name, dtype in _RUN_CEI:
+            setattr(self, name, np.zeros(self._cei_cap, dtype))
+        if self._owns_arena:
+            for name in _STATIC_ROW:
+                setattr(self, name, np.zeros(self._row_cap, getattr(arena, name).dtype))
+            for name in _STATIC_CEI:
+                setattr(self, name, np.zeros(self._cei_cap, getattr(arena, name).dtype))
+            self._max_seq = 0
+            self._max_finish = 0
+            self._packable = True
+        self._n_rows = 0  # rows / CEIs the columns cover
+        self._n_ceis = 0
+        # The bag as sorted row ids, plus the rows' resources: rebuilt
+        # after activations, filtered through np_active after removals.
+        self._bag: Optional[np.ndarray] = None
+        self._bag_res: Optional[np.ndarray] = None
+        self._bag_stale = False
+        self._num_active = 0
         self._num_registered = 0
         self._num_satisfied = 0
         self._num_failed = 0
         self._num_cancelled = 0
+        self._num_released = 0
+        self._bind(arena)
 
-    def _init_from_arena(self, arena: "InstanceArena") -> None:
-        """Start a run from a compiled arena: share statics, copy state.
+    # ------------------------------------------------------------------
+    # Columns
+    # ------------------------------------------------------------------
 
-        The immutable structures (row/CEI columns, NumPy mirrors, seq and
-        cid indexes) are *shared* with the arena — and therefore with
-        every other pool built from it — and never written; only the
-        per-run mutable state (captured flags, active masks, M-EDF
-        aggregates, counters) is freshly allocated.  The mirrors arrive
-        fully synced, so ``sync_mirrors`` reduces to the dirty-CEI patch.
-        """
+    def _bind(self, arena: "InstanceArena") -> None:
+        """Point the static columns at ``arena`` and cover its rows/CEIs."""
         self._arena = arena
-        self._registered = bytearray(arena.n_ceis)
-        n = arena.n_rows
         self.row_seq = arena.row_seq
         self.row_finish = arena.row_finish
         self.row_resource = arena.row_resource
         self.row_cidx = arena.row_cidx
         self._row_ei = arena.row_ei
-        self.row_captured = [False] * n
-        self.active_set = set()
-        self.np_active = np.zeros(max(n, 1), bool)
-
-        m = arena.n_ceis
         self.cei_rank = arena.cei_rank
-        self.cei_required = arena.cei_required
         self.cei_weight = arena.cei_weight
-        self.cei_captured = [0] * m
-        self.cei_satisfied = [False] * m
-        self.cei_failed = [False] * m
-        self.cei_cancelled = [False] * m
-        self.cei_medf_s = list(arena.cei_medf_s0)
-        self.cei_medf_open = list(arena.cei_medf_open0)
         self.cei_row_begin = arena.cei_row_begin
         self.cei_row_end = arena.cei_row_end
         self._cei_obj = arena.cei_obj
-
-        self._row_cap = max(n, 1)
-        self.npr_seq = arena.npr_seq
-        self.npr_finish = arena.npr_finish
-        self.npr_finish_f = arena.npr_finish_f
-        self.npr_resource = arena.npr_resource
-        self.npr_cidx = arena.npr_cidx
-        self.npr_static = arena.npr_static
-        self._synced_rows = n
-        self._max_seq = arena.max_seq
-        self._max_finish = arena.max_finish
-        self._packable = arena.packable
-        self._cei_cap = max(m, 1)
-        self.npc_rank_f = arena.npc_rank_f
-        self.npc_weight = arena.npc_weight
-        self.npc_captured_f = np.zeros(m, np.float64)
-        self.npc_medf_s_f = np.asarray(arena.cei_medf_s0, np.float64)
-        self.npc_medf_open_f = np.asarray(arena.cei_medf_open0, np.float64)
-        self._synced_ceis = m
-        self._dirty_ceis = set()
-
         self._row_of_seq = arena.row_of_seq
         self._cidx_of_cid = arena.cidx_of_cid
-        self._by_resource = {}
-        # Window events come from the arena's shared timelines (read
-        # without popping); these stay empty.
-        self._to_activate = {}
-        self._to_expire = {}
-        self._released_seqs = set()
-        self._num_registered = 0
-        self._num_satisfied = 0
-        self._num_failed = 0
-        self._num_cancelled = 0
+        if not self._owns_arena:
+            for name in _STATIC_ROW + _STATIC_CEI:
+                setattr(self, name, getattr(arena, name))
+            self._max_seq = arena.max_seq
+            self._max_finish = arena.max_finish
+            self._packable = arena.packable
+        self._extend()
+
+    def _extend(self) -> None:
+        """Cover rows/CEIs the arena's lists gained since the last call.
+
+        New CEIs start PENDING with their compiled M-EDF aggregates; new
+        rows start LIVE and outside the bag.  A private arena's static
+        NumPy columns are written here too.
+        """
+        from repro.sim.arena import _cei_columns, _key_bounds, _row_columns
+
+        arena = self._arena
+        a, b = self._n_rows, self._n_ceis
+        n, m = len(arena.row_seq), len(arena.cei_rank)
+        if n > self._row_cap:
+            self._grow_rows(n)
+        if m > self._cei_cap:
+            self._grow_ceis(m)
+        if self._owns_arena:
+            if n > a:
+                rows = _row_columns(arena, a)
+                for name, column in rows.items():
+                    getattr(self, name)[a:n] = column
+                seq, finish = _key_bounds(rows["npr_seq"], rows["npr_finish"])
+                self._max_seq = max(self._max_seq, seq)
+                self._max_finish = max(self._max_finish, finish)
+                self._packable = (
+                    self._max_seq < (1 << 21) and self._max_finish < (1 << 21)
+                )
+            if m > b:
+                for name, column in _cei_columns(arena, b).items():
+                    getattr(self, name)[b:m] = column
+        if m > b:
+            self.npc_medf_s_f[b:m] = arena.cei_medf_s0[b:]
+            self.npc_medf_open_f[b:m] = arena.cei_medf_open0[b:]
+            self.npc_usable_f[b:m] = self.npc_row_end[b:m] - self.npc_row_begin[b:m]
+        self._n_rows, self._n_ceis = n, m
+
+    def _grow_rows(self, needed: int) -> None:
+        # Guard the doubling loop against a zero starting capacity: 0 * 2
+        # never reaches `needed`.
+        cap = max(self._row_cap, 1)
+        while cap < needed:
+            cap *= 2
+        names = [name for name, _ in _RUN_ROW]
+        if self._owns_arena:
+            names.extend(_STATIC_ROW)
+        self._regrow(names, cap, self._n_rows)
+        self._row_cap = cap
+
+    def _grow_ceis(self, needed: int) -> None:
+        cap = max(self._cei_cap, 1)
+        while cap < needed:
+            cap *= 2
+        names = [name for name, _ in _RUN_CEI]
+        if self._owns_arena:
+            names.extend(_STATIC_CEI)
+        self._regrow(names, cap, self._n_ceis)
+        self._cei_cap = cap
+
+    def _regrow(self, names: Sequence[str], cap: int, filled: int) -> None:
+        for name in names:
+            old = getattr(self, name)
+            new = np.zeros(cap, old.dtype)
+            kept = min(filled, old.size)
+            new[:kept] = old[:kept]
+            setattr(self, name, new)
+        self.mirror_reallocs += 1
 
     def adopt_arena(self, arena: "InstanceArena") -> None:
         """Absorb a patched generation of this pool's arena mid-run.
 
         ``apply_patch`` has already extended the shared Python containers
-        in place (this pool references them directly, so its row/CEI
-        columns have silently grown); what remains is the per-run state
-        the patch cannot see: extend the captured flags, the per-run CEI
-        columns (fresh CEIs start from their compiled ``*0`` aggregates)
-        and the registration mask, and privatize the NumPy mirrors —
-        the shared arrays belong to the arena and are sized to the *old*
-        generation, so the next ``sync_mirrors`` would otherwise write
-        out of their bounds (or into sibling pools' shared view).  All
-        run state accumulated so far (captures, active bag, counters,
-        released seqs) is untouched: adopting a patch is invisible to the
-        schedule until the patched CEIs' arrival chronons are stepped.
+        in place and built extended NumPy columns on the returned arena;
+        this re-points the static columns at them and extends the
+        per-run columns (fresh CEIs start PENDING from their compiled
+        aggregates).  All run state accumulated so far (captures, bag,
+        counters, releases) is untouched: adopting a patch is invisible
+        to the schedule until the patched CEIs' arrival chronons are
+        stepped.
         """
-        old = self._arena
-        if old is None:
+        if self._owns_arena:
             raise ModelError("only arena-backed pools can adopt a patched arena")
-        if arena.cidx_of_cid is not old.cidx_of_cid:
+        if arena.cidx_of_cid is not self._arena.cidx_of_cid:
             raise ModelError(
                 "adopt_arena requires a patched generation of this pool's own "
                 "arena (shared containers must be identical)"
             )
-        # Grow when capacity is short, not only when the mirrors are still
-        # the arena's shared arrays: after a cancel-only patch the pool's
-        # ``_arena`` is a newer generation whose mirror objects differ,
-        # so the identity test alone would skip privatization and leave
-        # ``np_active``/``npr_*`` sized to the pre-churn row count.
-        n = len(self.row_seq)
-        if n > self._row_cap or (
-            n > self._synced_rows and self.npr_seq is old.npr_seq
-        ):
-            self._grow_rows(n)
-        m = len(self.cei_rank)
-        if m > self._cei_cap or (
-            m > self._synced_ceis and self.npc_rank_f is old.npc_rank_f
-        ):
-            self._grow_ceis(m)
-        self.row_captured.extend([False] * (n - len(self.row_captured)))
-        grown = m - len(self.cei_captured)
-        if grown:
-            self.cei_captured.extend([0] * grown)
-            self.cei_satisfied.extend([False] * grown)
-            self.cei_failed.extend([False] * grown)
-            self.cei_cancelled.extend([False] * grown)
-            self.cei_medf_s.extend(arena.cei_medf_s0[m - grown :])
-            self.cei_medf_open.extend(arena.cei_medf_open0[m - grown :])
-            assert self._registered is not None
-            self._registered.extend(bytes(grown))
-        self._arena = arena
+        self._bind(arena)
 
     # ------------------------------------------------------------------
-    # Mirror synchronization
+    # Bag maintenance
     # ------------------------------------------------------------------
 
-    def _grow_rows(self, needed: int) -> None:
-        # Guard the doubling loop against a zero starting capacity (an
-        # empty arena, or a pool whose caps were sized to a tiny
-        # instance): 0 * 2 never reaches `needed`.
-        cap = max(self._row_cap, 1)
-        while cap < needed:
-            cap *= 2
-        for name in (
-            "npr_seq",
-            "npr_finish",
-            "npr_finish_f",
-            "npr_resource",
-            "npr_cidx",
-            "npr_static",
-        ):
-            old = getattr(self, name)
-            new = np.zeros(cap, old.dtype)
-            new[: self._synced_rows] = old[: self._synced_rows]
-            setattr(self, name, new)
-        # np_active is written at event time, not sync time: copy it whole.
-        new_active = np.zeros(cap, bool)
-        new_active[: len(self.np_active)] = self.np_active
-        self.np_active = new_active
-        self._row_cap = cap
-        self.mirror_reallocs += 1
+    def _activate(self, rows: np.ndarray) -> None:
+        """Add LIVE, currently inactive ``rows`` to the bag."""
+        self.np_active[rows] = True
+        self._num_active += rows.size
+        self._bag = None
 
-    def _grow_ceis(self, needed: int) -> None:
-        # Same zero-capacity guard as _grow_rows.
-        cap = max(self._cei_cap, 1)
-        while cap < needed:
-            cap *= 2
-        for name in (
-            "npc_rank_f",
-            "npc_captured_f",
-            "npc_weight",
-            "npc_medf_s_f",
-            "npc_medf_open_f",
-        ):
-            old = getattr(self, name)
-            new = np.zeros(cap, old.dtype)
-            new[: self._synced_ceis] = old[: self._synced_ceis]
-            setattr(self, name, new)
-        self._cei_cap = cap
-        self.mirror_reallocs += 1
+    def _deactivate(self, rows: np.ndarray) -> None:
+        """Remove active ``rows`` (no repeats) from the bag."""
+        self.np_active[rows] = False
+        self._num_active -= rows.size
+        self._bag_stale = True
 
-    def sync_mirrors(self) -> None:
-        """Bring the NumPy mirrors up to date with the Python columns.
+    def _drop_rows(self, cidx: np.ndarray) -> None:
+        """Remove every bag row of the (just closed) CEIs ``cidx``."""
+        rows = _ranges(self.npc_row_begin[cidx], self.npc_row_end[cidx])
+        self._deactivate(rows[self.np_active[rows]])
 
-        Called by the probe loop before each batch score.  Cost is
-        amortized O(1) per row/CEI plus O(1) per CEI mutated since the
-        last sync.
+    def bag(self) -> np.ndarray:
+        """Row ids of the candidate bag, ascending."""
+        bag = self._bag
+        if bag is None:
+            bag = np.flatnonzero(self.np_active[: self._n_rows])
+        elif self._bag_stale:
+            bag = bag[self.np_active[bag]]
+        else:
+            return bag
+        self._bag = bag
+        self._bag_res = None
+        self._bag_stale = False
+        return bag
+
+    def _active_on(self, resource: ResourceId) -> np.ndarray:
+        """Bag rows on ``resource``, ascending."""
+        bag = self._bag
+        if bag is None:
+            bag = self.bag()
+        res = self._bag_res
+        if res is None:
+            res = self._bag_res = self.npr_resource[bag]
+        rows = bag[res == resource]
+        return rows[self.np_active[rows]] if self._bag_stale else rows
+
+    def _events(self, timeline: dict, now: Chronon) -> Optional[np.ndarray]:
+        """Rows a window-event timeline lists at ``now``.
+
+        A shared arena's timelines are read without popping (sibling
+        pools replay them too); a private one's are consumed.
         """
-        n = len(self.row_seq)
-        if self._synced_rows < n:
-            if n > self._row_cap:
-                self._grow_rows(n)
-            a = self._synced_rows
-            self.npr_seq[a:n] = self.row_seq[a:n]
-            self.npr_finish[a:n] = self.row_finish[a:n]
-            self.npr_finish_f[a:n] = self.npr_finish[a:n]
-            self.npr_resource[a:n] = self.row_resource[a:n]
-            self.npr_cidx[a:n] = self.row_cidx[a:n]
-            self.npr_static[a:n] = self.npr_finish[a:n] * (1 << 21) + self.npr_seq[a:n]
-            self._max_seq = max(self._max_seq, int(self.npr_seq[a:n].max()))
-            self._max_finish = max(self._max_finish, int(self.npr_finish[a:n].max()))
-            self._packable = self._max_seq < (1 << 21) and self._max_finish < (1 << 21)
-            self._synced_rows = n
-        m = len(self.cei_rank)
-        if self._synced_ceis < m:
-            if m > self._cei_cap:
-                self._grow_ceis(m)
-            a = self._synced_ceis
-            self.npc_rank_f[a:m] = self.cei_rank[a:m]
-            self.npc_captured_f[a:m] = self.cei_captured[a:m]
-            self.npc_weight[a:m] = self.cei_weight[a:m]
-            self.npc_medf_s_f[a:m] = self.cei_medf_s[a:m]
-            self.npc_medf_open_f[a:m] = self.cei_medf_open[a:m]
-            self._synced_ceis = m
-        if self._dirty_ceis:
-            for c in self._dirty_ceis:
-                self.npc_captured_f[c] = self.cei_captured[c]
-                self.npc_medf_s_f[c] = self.cei_medf_s[c]
-                self.npc_medf_open_f[c] = self.cei_medf_open[c]
-            self._dirty_ceis.clear()
+        if self._owns_arena:
+            rows = timeline.pop(now, None)
+        else:
+            rows = timeline.get(now)
+        return None if rows is None else np.array(rows, np.int64)
 
     # ------------------------------------------------------------------
     # MonitorView protocol
@@ -413,220 +398,185 @@ class FastCandidatePool:
     def is_ei_captured(self, ei: ExecutionInterval) -> bool:
         """Has this EI been captured (proxy belief)?"""
         row = self._row_of_seq.get(ei.seq)
-        return row is not None and self.row_captured[row]
+        return row is not None and bool(self.npr_state[row] == CAPTURED)
 
     def captured_count(self, cei: ComplexExecutionInterval) -> int:
         """Captured-EI count of a candidate CEI (0 if unknown)."""
         cidx = self._cidx_of_cid.get(cei.cid)
-        return self.cei_captured[cidx] if cidx is not None else 0
+        return int(self.npc_captured_f[cidx]) if cidx is not None else 0
 
     def active_uncaptured_on(self, resource: ResourceId) -> int:
         """Number of active uncaptured candidate EIs on ``resource``."""
-        return len(self._by_resource.get(resource, ()))
+        return int(self._active_on(resource).size)
 
     # ------------------------------------------------------------------
-    # Registration and activation
+    # Registration and window events
     # ------------------------------------------------------------------
 
     def register(
         self, cei: ComplexExecutionInterval, now: Chronon, collect: bool = True
     ) -> list[ExecutionInterval]:
-        """Add a newly-revealed CEI; returns the EIs active immediately.
+        """Add a newly-revealed CEI; returns the EIs active immediately."""
+        return self.register_all((cei,), now, collect)
+
+    def register_all(
+        self,
+        ceis: Sequence[ComplexExecutionInterval],
+        now: Chronon,
+        collect: bool = True,
+    ) -> list[ExecutionInterval]:
+        """Reveal CEIs arriving at ``now``; returns the EIs active immediately.
 
         With ``collect=False`` the returned list is always empty (the
         vectorized engine skips building it when no activation hook needs
-        the objects).  Semantics otherwise match
+        the objects).  Semantics match
         :meth:`repro.online.candidates.CandidatePool.register` exactly,
         including the dead-on-arrival rule for late submissions.
 
-        Arena-backed pools replay the compiled registration instead of
-        walking the EIs: activate the precomputed immediate rows, copy
-        nothing.  They only accept the CEIs (and arrival chronons) the
-        arena was compiled for.
+        A pool with a private arena first compiles the CEIs into it at
+        ``now``; an arena-backed pool only accepts the CEIs (and arrival
+        chronons) its arena was compiled for.  Either way registration
+        then replays the compiled result: the CEI opens (or fails dead on
+        arrival) and its immediate rows join the bag.
         """
+        ceis = tuple(ceis)
         arena = self._arena
-        if arena is not None:
-            cidx = arena.cidx_of_cid.get(cei.cid)
+        cidx_of_cid = arena.cidx_of_cid
+        if self._owns_arena:
+            from repro.sim.arena import _register_cei  # lazy: import cycle
+
+            for cei in ceis:
+                if cei.cid in cidx_of_cid:
+                    raise ModelError(f"CEI {cei.cid} registered twice")
+                _register_cei(arena, cei, now)
+            self._extend()
+        status = self.npc_status
+        rows: list[int] = []
+        for cei in ceis:
+            cidx = cidx_of_cid.get(cei.cid)
             if cidx is None:
                 raise ModelError(
                     f"CEI {cei.cid} is not part of this pool's compiled arena"
                 )
-            registered = self._registered
-            assert registered is not None
-            if registered[cidx]:
+            if status[cidx] != PENDING:
                 raise ModelError(f"CEI {cei.cid} registered twice")
             if now != arena.cei_release[cidx]:
                 raise ModelError(
                     "arena-backed pools compile registration at the CEI's "
                     f"arrival chronon {arena.cei_release[cidx]}, got {now}"
                 )
-            registered[cidx] = 1
             self._num_registered += 1
             if arena.cei_failed0[cidx]:
-                self.cei_failed[cidx] = True
+                status[cidx] = FAILED
                 self._num_failed += 1
-                return []
-            rows = arena.immediate_rows[cidx]
-            row_resource = self.row_resource
-            for row in rows:
-                self._activate_row(row, row_resource[row])
-            if collect and rows:
-                row_ei = self._row_ei
-                return [row_ei[row] for row in rows]
-            return []
-        if cei.cid in self._cidx_of_cid:
-            raise ModelError(f"CEI {cei.cid} registered twice")
-        if len(self.row_seq) + len(cei.eis) > self._row_cap:
-            self._grow_rows(len(self.row_seq) + len(cei.eis))
-        cidx = len(self.cei_rank)
-        self._cidx_of_cid[cei.cid] = cidx
-        self._cei_obj.append(cei)
-        self._num_registered += 1
-
-        eis = cei.eis
-        expired_on_arrival = sum(1 for ei in eis if ei.finish < now)
-        alive = len(eis) - expired_on_arrival
-        failed = alive < cei.required
-        n_rows = len(self.row_seq)
-        self.cei_rank.append(len(eis))
-        self.cei_required.append(cei.required)
-        self.cei_captured.append(0)
-        self.cei_weight.append(cei.weight)
-        self.cei_satisfied.append(False)
-        self.cei_failed.append(failed)
-        self.cei_cancelled.append(False)
-        self.cei_row_begin.append(n_rows)
-        if failed:
-            # Dead on arrival (late submission): no rows materialize.
-            self.cei_row_end.append(n_rows)
-            self.cei_medf_s.append(0)
-            self.cei_medf_open.append(0)
-            self._num_failed += 1
-            return []
-
-        activated: list[ExecutionInterval] = []
-        medf_s = 0
-        medf_open = 0
-        row_seq = self.row_seq
-        seq_append = row_seq.append
-        finish_append = self.row_finish.append
-        resource_append = self.row_resource.append
-        cidx_append = self.row_cidx.append
-        captured_append = self.row_captured.append
-        ei_append = self._row_ei.append
-        row_of_seq = self._row_of_seq
-        to_activate = self._to_activate
-        to_expire = self._to_expire
-        for ei in eis:
-            finish = ei.finish
-            if finish < now:
-                # Unusable, but an uncaptured sibling for M-EDF purposes:
-                # contributes finish - T + 1 like any open-window sibling.
-                medf_s += finish + 1
-                medf_open += 1
-                continue
-            row = len(row_seq)
-            seq_append(ei.seq)
-            finish_append(finish)
-            resource_append(ei.resource)
-            cidx_append(cidx)
-            captured_append(False)
-            ei_append(ei)
-            row_of_seq[ei.seq] = row
-            if ei.start <= now:
-                self._activate_row(row, ei.resource)
-                medf_s += finish + 1
-                medf_open += 1
-                if collect:
-                    activated.append(ei)
             else:
-                medf_s += finish - ei.start + 1
-                to_activate.setdefault(ei.start, []).append(row)
-            to_expire.setdefault(finish, []).append(row)
-        self.cei_row_end.append(len(row_seq))
-        self.cei_medf_s.append(medf_s)
-        self.cei_medf_open.append(medf_open)
-        return activated
-
-    def _activate_row(self, row: int, resource: ResourceId) -> None:
-        self.active_set.add(row)
-        self.np_active[row] = True
-        group = self._by_resource.get(resource)
-        if group is None:
-            group = set()
-            self._by_resource[resource] = group
-        group.add(row)
-
-    def _deactivate_row(self, row: int, resource: ResourceId) -> None:
-        self.active_set.discard(row)
-        self.np_active[row] = False
-        group = self._by_resource.get(resource)
-        if group is not None:
-            group.discard(row)
+                status[cidx] = OPEN
+                rows.extend(arena.immediate_rows[cidx])
+        if not rows:
+            return []
+        self._activate(np.array(rows, np.int64))
+        if collect:
+            row_ei = self._row_ei
+            return [row_ei[row] for row in rows]
+        return []
 
     def open_windows(self, now: Chronon, collect: bool = True) -> list[ExecutionInterval]:
         """Activate every EI whose window opens at ``now``; returns them."""
-        if self._arena is not None:
-            # Shared timeline, read without popping (sibling pools of the
-            # same arena replay it too).
-            rows = self._arena.activate_at.get(now)
-        else:
-            rows = self._to_activate.pop(now, None)
-        opened: list[ExecutionInterval] = []
+        rows = self._events(self._arena.activate_at, now)
         if rows is None:
-            return opened
-        registered = self._registered
-        released = self._released_seqs
-        for row in rows:
-            cidx = self.row_cidx[row]
-            if registered is not None and not registered[cidx]:
-                continue  # compiled timeline row of a never-revealed CEI
-            if (
-                self.cei_satisfied[cidx]
-                or self.cei_failed[cidx]
-                or self.cei_cancelled[cidx]
-            ):
-                continue  # parent died or was satisfied while pending
-            if self.row_captured[row]:
-                continue
-            ei = self._row_ei[row]
-            if released and ei.seq in released:
-                # Shed away while pending: never activates, but the
-                # M-EDF move below must still happen — the reference
-                # sibling walk switches a released sibling from its
-                # future form to the open form at `start` like any
-                # other uncaptured sibling.
-                self.cei_medf_s[cidx] += ei.start
-                self.cei_medf_open[cidx] += 1
-                self._dirty_ceis.add(cidx)
-                continue
-            self._activate_row(row, ei.resource)
-            # M-EDF bucket move, future -> open: the sibling's width
-            # |I| becomes finish + 1 (the -T term arrives via n_open).
-            self.cei_medf_s[cidx] += ei.start
-            self.cei_medf_open[cidx] += 1
-            self._dirty_ceis.add(cidx)
-            if collect:
-                opened.append(ei)
-        return opened
+            return []
+        cidx = self.npr_cidx[rows]
+        # Rows of never-revealed or closed CEIs stay out.  A pending row
+        # is never captured: captures only take bag rows.
+        keep = self.npc_status[cidx] == OPEN
+        rows, cidx = rows[keep], cidx[keep]
+        if not rows.size:
+            return []
+        # M-EDF bucket move, future -> open: the sibling's width |I|
+        # becomes finish + 1 (the -T term arrives via n_open).  Released
+        # rows move too — the reference sibling walk counts them — but
+        # never join the bag.
+        np.add.at(self.npc_medf_s_f, cidx, self.npr_start_f[rows])
+        np.add.at(self.npc_medf_open_f, cidx, 1.0)
+        if self._num_released:
+            rows = rows[self.npr_state[rows] == LIVE]
+        self._activate(rows)
+        if collect:
+            row_ei = self._row_ei
+            return [row_ei[row] for row in rows.tolist()]
+        return []
+
+    def close_windows(self, now: Chronon, collect: bool = True) -> list[ExecutionInterval]:
+        """End-of-chronon expiry (Algorithm 1, lines 20-27).
+
+        Every LIVE row of an open CEI whose window closes at ``now``
+        expires; a CEI whose captures plus remaining LIVE rows fall short
+        of ``required`` fails and leaves the bag.  Released rows are
+        silent.  The returned EIs match the reference pool's sequential
+        walk: after a CEI fails, its later rows in this chronon's list are
+        not reported.
+        """
+        rows = self._events(self._arena.expire_at, now)
+        if rows is None:
+            return []
+        cidx = self.npr_cidx[rows]
+        keep = (self.npc_status[cidx] == OPEN) & (self.npr_state[rows] == LIVE)
+        rows, cidx = rows[keep], cidx[keep]
+        if not rows.size:
+            return []
+        # LIVE rows of open CEIs are in the bag once their window opened.
+        self.npr_state[rows] = EXPIRED
+        self._deactivate(rows)
+        np.subtract.at(self.npc_usable_f, cidx, 1.0)
+        dead = cidx[self.npc_usable_f[cidx] < self.npc_required_f[cidx]]
+        expired: list[ExecutionInterval] = []
+        if collect:
+            failed = set(dead.tolist())
+            reported: set[int] = set()
+            row_ei = self._row_ei
+            for row, c in zip(rows.tolist(), cidx.tolist()):
+                if c in failed:
+                    if c in reported:
+                        continue
+                    reported.add(c)
+                expired.append(row_ei[row])
+        if dead.size:
+            dead = _distinct(dead)
+            self.npc_status[dead] = FAILED
+            self._num_failed += dead.size
+            self._drop_rows(dead)
+        return expired
 
     # ------------------------------------------------------------------
-    # Capture and expiry
+    # Capture
     # ------------------------------------------------------------------
 
-    def _capture_row(self, row: int, cidx: int, ei: ExecutionInterval) -> None:
-        """Mark one active row captured and update the CEI aggregates."""
-        self._deactivate_row(row, ei.resource)
-        self.row_captured[row] = True
-        self.cei_captured[cidx] += 1
-        self.cei_medf_s[cidx] -= ei.finish + 1
-        self.cei_medf_open[cidx] -= 1
-        self._dirty_ceis.add(cidx)
-        if not self.cei_satisfied[cidx] and (
-            self.cei_captured[cidx] >= self.cei_required[cidx]
-        ):
-            self.cei_satisfied[cidx] = True
-            self._num_satisfied += 1
+    def _capture(self, rows: np.ndarray) -> list[int]:
+        """Capture bag ``rows``; returns their CEI indexes (with repeats)."""
+        cidx = self.npr_cidx[rows]
+        self.npr_state[rows] = CAPTURED
+        self._deactivate(rows)
+        np.add.at(self.npc_captured_f, cidx, 1.0)
+        np.subtract.at(self.npc_medf_s_f, cidx, self.npr_finish_f[rows] + 1.0)
+        np.subtract.at(self.npc_medf_open_f, cidx, 1.0)
+        done = cidx[self.npc_captured_f[cidx] >= self.npc_required_f[cidx]]
+        if done.size:
+            done = _distinct(done)
+            self.npc_status[done] = SATISFIED
+            self._num_satisfied += done.size
+            # Only a CEI with LIVE rows left (usable > captured) can still
+            # hold bag rows; under ALL semantics a satisfied CEI never does.
+            done = done[self.npc_usable_f[done] > self.npc_captured_f[done]]
+            if done.size:
+                self._drop_rows(done)
+        return cidx.tolist()
+
+    def _probe_rows(self, resource: ResourceId, skip: frozenset[int]) -> np.ndarray:
+        """Bag rows a probe of ``resource`` captures: all but ``skip`` seqs."""
+        rows = self._active_on(resource)
+        if skip:
+            rows = rows[~np.isin(self.npr_seq[rows], list(skip))]
+        return rows
 
     def capture_resource_rows(
         self, resource: ResourceId, skip: frozenset[int] = frozenset()
@@ -639,31 +589,14 @@ class FastCandidatePool:
         reference's touched list) so the probe loop can re-rank siblings
         without materializing objects.
         """
-        group = self._by_resource.get(resource)
-        if not group:
-            return []
-        touched: list[int] = []
-        row_seq = self.row_seq
-        for row in list(group):
-            if skip and row_seq[row] in skip:
-                continue
-            cidx = self.row_cidx[row]
-            self._capture_row(row, cidx, self._row_ei[row])
-            touched.append(cidx)
-        for cidx in touched:
-            if self.cei_satisfied[cidx]:
-                self._drop_remaining_rows(cidx)
-        return touched
+        rows = self._probe_rows(resource, skip)
+        return self._capture(rows) if rows.size else []
 
     def capture_single_row(self, row: int) -> list[int]:
         """Overlap-ablation capture of exactly one row; returns touched CEIs."""
-        if row not in self.active_set:
+        if not self.np_active[row]:
             return []
-        cidx = self.row_cidx[row]
-        self._capture_row(row, cidx, self._row_ei[row])
-        if self.cei_satisfied[cidx]:
-            self._drop_remaining_rows(cidx)
-        return [cidx]
+        return self._capture(np.array([row], np.int64))
 
     def capture_resource(
         self,
@@ -672,106 +605,32 @@ class FastCandidatePool:
         skip: frozenset[int] = frozenset(),
     ) -> tuple[list[ExecutionInterval], list[ComplexExecutionInterval]]:
         """Object-level capture API (reference-path compatibility)."""
-        group = self._by_resource.get(resource)
-        if not group:
+        rows = self._probe_rows(resource, skip)
+        if not rows.size:
             return [], []
-        row_seq = self.row_seq
-        captured = [
-            self._row_ei[row]
-            for row in group
-            if not skip or row_seq[row] not in skip
-        ]
-        touched = [
-            self._cei_obj[cidx]
-            for cidx in self.capture_resource_rows(resource, skip)
-        ]
-        return captured, touched
+        row_ei = self._row_ei
+        cei_obj = self._cei_obj
+        captured = [row_ei[row] for row in rows.tolist()]
+        return captured, [cei_obj[cidx] for cidx in self._capture(rows)]
 
     def capture_single(
         self, ei: ExecutionInterval
     ) -> tuple[list[ExecutionInterval], list[ComplexExecutionInterval]]:
         """Capture exactly one EI (the overlap-exploitation ablation)."""
         row = self._row_of_seq.get(ei.seq)
-        if row is None or row not in self.active_set:
+        if row is None or not self.np_active[row]:
             return [], []
         touched = [self._cei_obj[cidx] for cidx in self.capture_single_row(row)]
         return [ei], touched
 
-    def _drop_remaining_rows(self, cidx: int) -> None:
-        """Deactivate every still-active row of a closed CEI."""
-        for row in range(self.cei_row_begin[cidx], self.cei_row_end[cidx]):
-            if row in self.active_set:
-                self._deactivate_row(row, self.row_resource[row])
-
-    def close_windows(self, now: Chronon, collect: bool = True) -> list[ExecutionInterval]:
-        """End-of-chronon expiry (Algorithm 1, lines 20-27)."""
-        if self._arena is not None:
-            rows = self._arena.expire_at.get(now)
-        else:
-            rows = self._to_expire.pop(now, None)
-        expired: list[ExecutionInterval] = []
-        if rows is None:
-            return expired
-        registered = self._registered
-        released = self._released_seqs
-        row_seq = self.row_seq
-        for row in rows:
-            cidx = self.row_cidx[row]
-            if registered is not None and not registered[cidx]:
-                continue  # compiled timeline row of a never-revealed CEI
-            if (
-                self.cei_satisfied[cidx]
-                or self.cei_failed[cidx]
-                or self.cei_cancelled[cidx]
-            ):
-                continue
-            if self.row_captured[row]:
-                continue
-            if released and row_seq[row] in released:
-                continue  # shed away: spectral, no expiry event
-            if row in self.active_set:
-                self._deactivate_row(row, self.row_resource[row])
-            if collect:
-                expired.append(self._row_ei[row])
-            if self._cannot_satisfy(cidx, now):
-                self.cei_failed[cidx] = True
-                self._num_failed += 1
-                self._drop_remaining_rows(cidx)
-        return expired
-
-    def _cannot_satisfy(self, cidx: int, now: Chronon) -> bool:
-        """Can the CEI still reach its required capture count after ``now``?
-
-        Counts captures plus uncaptured siblings whose window is still open
-        past ``now`` — siblings expiring *this* chronon are already
-        unusable, exactly like the reference pool's scan.
-        """
-        usable = self.cei_captured[cidx]
-        row_captured = self.row_captured
-        row_finish = self.row_finish
-        released = self._released_seqs
-        if released:
-            row_seq = self.row_seq
-            for row in range(self.cei_row_begin[cidx], self.cei_row_end[cidx]):
-                if (
-                    not row_captured[row]
-                    and row_finish[row] > now
-                    and row_seq[row] not in released
-                ):
-                    usable += 1
-        else:
-            for row in range(self.cei_row_begin[cidx], self.cei_row_end[cidx]):
-                if not row_captured[row] and row_finish[row] > now:
-                    usable += 1
-        return usable < self.cei_required[cidx]
-
     # ------------------------------------------------------------------
-    # Load shedding (repro.online.shedding)
+    # Load shedding (repro.online.shedding) and churn
     # ------------------------------------------------------------------
 
     def is_ei_released(self, ei: ExecutionInterval) -> bool:
         """Was this EI withdrawn by load shedding?"""
-        return ei.seq in self._released_seqs
+        row = self._row_of_seq.get(ei.seq)
+        return row is not None and bool(self.npr_state[row] == RELEASED)
 
     def release_ei(self, ei: ExecutionInterval) -> bool:
         """Withdraw one uncaptured EI from the probe-able bag for good.
@@ -787,39 +646,33 @@ class FastCandidatePool:
         if row is None:
             return False  # expired on arrival: never materialized
         cidx = self.row_cidx[row]
-        if self._registered is not None and not self._registered[cidx]:
+        if self.npc_status[cidx] != OPEN:
             return False
-        if (
-            self.cei_satisfied[cidx]
-            or self.cei_failed[cidx]
-            or self.cei_cancelled[cidx]
-        ):
+        state = self.npr_state[row]
+        if state == CAPTURED or state == RELEASED:
             return False
-        if self.row_captured[row]:
+        self.npr_state[row] = RELEASED
+        self._num_released += 1
+        if state == LIVE:
+            self.npc_usable_f[cidx] -= 1
+        if self.np_active[row]:
+            self._deactivate(np.array([row], np.int64))
+        return True
+
+    def _close(self, cei: ComplexExecutionInterval, status: int) -> bool:
+        """Close one open CEI with ``status``; its rows leave the bag."""
+        cidx = self._cidx_of_cid.get(cei.cid)
+        if cidx is None or self.npc_status[cidx] != OPEN:
             return False
-        if ei.seq in self._released_seqs:
-            return False
-        self._released_seqs.add(ei.seq)
-        if row in self.active_set:
-            self._deactivate_row(row, self.row_resource[row])
+        self.npc_status[cidx] = status
+        self._drop_rows(np.array([cidx], np.int64))
         return True
 
     def shed_cei(self, cei: ComplexExecutionInterval) -> bool:
         """Evict one whole open CEI (counted as failed; rows dropped)."""
-        cidx = self._cidx_of_cid.get(cei.cid)
-        if cidx is None:
+        if not self._close(cei, FAILED):
             return False
-        if self._registered is not None and not self._registered[cidx]:
-            return False
-        if (
-            self.cei_satisfied[cidx]
-            or self.cei_failed[cidx]
-            or self.cei_cancelled[cidx]
-        ):
-            return False
-        self.cei_failed[cidx] = True
         self._num_failed += 1
-        self._drop_remaining_rows(cidx)
         return True
 
     def cancel_cei(self, cei: ComplexExecutionInterval) -> bool:
@@ -832,33 +685,16 @@ class FastCandidatePool:
         walking away.  Returns False when the CEI is unknown, never
         registered, or already closed.
         """
-        cidx = self._cidx_of_cid.get(cei.cid)
-        if cidx is None:
+        if not self._close(cei, CANCELLED):
             return False
-        if self._registered is not None and not self._registered[cidx]:
-            return False
-        if (
-            self.cei_satisfied[cidx]
-            or self.cei_failed[cidx]
-            or self.cei_cancelled[cidx]
-        ):
-            return False
-        self.cei_cancelled[cidx] = True
         self._num_cancelled += 1
-        self._drop_remaining_rows(cidx)
         return True
 
     def open_cei_objects(self) -> list[ComplexExecutionInterval]:
         """Open (registered, not closed) CEIs in registration order."""
-        registered = self._registered
-        return [
-            self._cei_obj[cidx]
-            for cidx in range(len(self.cei_rank))
-            if (registered is None or registered[cidx])
-            and not self.cei_satisfied[cidx]
-            and not self.cei_failed[cidx]
-            and not self.cei_cancelled[cidx]
-        ]
+        cei_obj = self._cei_obj
+        opened = np.flatnonzero(self.npc_status[: self._n_ceis] == OPEN)
+        return [cei_obj[cidx] for cidx in opened.tolist()]
 
     # ------------------------------------------------------------------
     # Queries
@@ -868,49 +704,45 @@ class FastCandidatePool:
         """Push-enabled resources currently holding active candidate EIs."""
         return [
             rid
-            for rid, group in self._by_resource.items()
-            if group and rid in resources and resources[rid].push_enabled
+            for rid in np.unique(self.npr_resource[self.bag()]).tolist()
+            if rid in resources and resources[rid].push_enabled
         ]
 
     def active_seqs_on(self, resource: ResourceId) -> list[int]:
         """Sorted seqs of the active candidate EIs on ``resource``.
 
         Sorted so per-EI fault verdicts (one uniform draw per seq, in
-        order) match the reference pool's regardless of set iteration
-        order.
+        order) match the reference pool's regardless of row order.
         """
-        group = self._by_resource.get(resource)
-        if not group:
-            return []
-        row_seq = self.row_seq
-        return sorted(row_seq[row] for row in group)
+        return np.sort(self.npr_seq[self._active_on(resource)]).tolist()
 
     def active_eis(self) -> Iterator[ExecutionInterval]:
         """All currently active, uncaptured candidate EIs (the probe pool)."""
         row_ei = self._row_ei
-        for row in self.active_set:
+        for row in self.bag().tolist():
             yield row_ei[row]
 
     def num_active(self) -> int:
         """Size of the active candidate EI bag."""
-        return len(self.active_set)
+        return self._num_active
 
     def is_active(self, ei: ExecutionInterval) -> bool:
         """Is this exact EI currently probe-able?"""
         row = self._row_of_seq.get(ei.seq)
-        return row is not None and row in self.active_set
+        return row is not None and bool(self.np_active[row])
 
     def state_of(self, cei: ComplexExecutionInterval) -> Optional[FastCEIView]:
         """Capture state of a registered CEI (None if never registered)."""
         cidx = self._cidx_of_cid.get(cei.cid)
         if cidx is None:
             return None
+        status = int(self.npc_status[cidx])
         return FastCEIView(
             cei=cei,
-            captured_count=self.cei_captured[cidx],
-            satisfied=self.cei_satisfied[cidx],
-            failed=self.cei_failed[cidx],
-            cancelled=self.cei_cancelled[cidx],
+            captured_count=int(self.npc_captured_f[cidx]),
+            satisfied=status == SATISFIED,
+            failed=status == FAILED,
+            cancelled=status == CANCELLED,
         )
 
     def split_by_prior_capture(
@@ -919,10 +751,12 @@ class FastCandidatePool:
         """Partition candidates into ``cands+`` / ``cands-`` (Algorithm 1)."""
         plus: list[ExecutionInterval] = []
         minus: list[ExecutionInterval] = []
+        captured = self.npc_captured_f
+        cidx_of_cid = self._cidx_of_cid
         for ei in eis:
             cei = ei.parent
             assert cei is not None
-            if self.cei_captured[self._cidx_of_cid[cei.cid]] > 0:
+            if captured[cidx_of_cid[cei.cid]] > 0:
                 plus.append(ei)
             else:
                 minus.append(ei)
@@ -978,10 +812,9 @@ def run_fast_phases(
     reference path.
     """
     pool: FastCandidatePool = monitor.pool
-    if not pool.active_set:
+    if not pool.num_active():
         return budget_left
-    pool.sync_mirrors()
-    rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
+    rows = pool.bag()
     if monitor.preemptive:
         # One phase over the whole bag: sibling refreshes never need a
         # phase-membership check (any active sibling is in the phase).
@@ -1149,7 +982,6 @@ def _fast_phase(
     pool: FastCandidatePool = monitor.pool
     kernel = monitor._kernel
     assert kernel is not None
-    pool.sync_mirrors()
     stream = _LocalStream(
         pool, kernel, rows, chronon, budget_left, monitor._min_probe_cost
     )
@@ -1203,7 +1035,7 @@ def _phase_walk(
     sp = stream.sp  # aliases: widen() extends these lists in place
     sr = stream.sr
 
-    active = pool.active_set
+    active = pool.np_active
     row_resource = pool.row_resource
     uniform = resources is None
     sensitive = monitor._sibling_sensitive
@@ -1226,7 +1058,7 @@ def _phase_walk(
         while True:
             while si < len(sr):
                 row = sr[si]
-                if row in dirty or row not in active:
+                if row in dirty or not active[row]:
                     si += 1
                     continue
                 rid = row_resource[row]
@@ -1247,7 +1079,7 @@ def _phase_walk(
             orow = entry[3]
             if (
                 cur.get(orow) != (entry[0], entry[1], entry[2])
-                or orow not in active
+                or not active[orow]
                 or (entry[4] in probed and entry[4] not in reprobe)
                 or (faults is not None and not faults.available(entry[4], chronon))
             ):
@@ -1338,7 +1170,7 @@ def _phase_walk(
                 pool, kernel, touched, chronon, in_phase, probed, overlay, cur,
                 dirty, reprobe,
             )
-        if retry_partial and row in active:
+        if retry_partial and active[row]:
             post = cur.get(row)
             if post is None or post == pre:
                 # The chosen row itself was dropped and the sibling
@@ -1369,24 +1201,23 @@ def _refresh_siblings_fast(
     mode): there, membership needs no check because active implies
     in-phase.
     """
-    active = pool.active_set
+    active = pool.np_active
+    status = pool.npc_status
     row_finish = pool.row_finish
     row_seq = pool.row_seq
     row_resource = pool.row_resource
     row_dependent = kernel.row_dependent
-    for cidx in touched:
-        if (
-            pool.cei_satisfied[cidx]
-            or pool.cei_failed[cidx]
-            or pool.cei_cancelled[cidx]
-        ):
+    # A CEI touched by several captured rows is refreshed once: its state
+    # no longer changes within this refresh.
+    for cidx in dict.fromkeys(touched):
+        if status[cidx] != OPEN:
             continue  # closed CEIs left the candidate bag entirely
         # Row-dependent kernels (expected-gain: sibling rows on different
         # resources score differently) re-score per row; the rest score
         # once per CEI.
         fresh = None if row_dependent else kernel.score_cei(pool, cidx, chronon)
         for row in range(pool.cei_row_begin[cidx], pool.cei_row_end[cidx]):
-            if row not in active:
+            if not active[row]:
                 continue
             if in_phase is not None and row not in in_phase:
                 continue
@@ -1433,8 +1264,7 @@ def run_fast_span(monitor: "OnlineMonitor", t0: Chronon, t1: Chronon) -> None:
     schedule = monitor.schedule
     budget = monitor.budget
     assert kernel is not None and kernel.shift_invariant
-    pool.sync_mirrors()
-    rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
+    rows = pool.bag()
     if rows.size == 0:
         monitor._clock = t1 - 1
         return
@@ -1454,7 +1284,7 @@ def run_fast_span(monitor: "OnlineMonitor", t0: Chronon, t1: Chronon) -> None:
     sp = prio[order].tolist()
     sr = rows[order].tolist()
 
-    active = pool.active_set
+    active = pool.np_active
     row_finish = pool.row_finish
     row_seq = pool.row_seq
     row_resource = pool.row_resource
@@ -1466,7 +1296,7 @@ def run_fast_span(monitor: "OnlineMonitor", t0: Chronon, t1: Chronon) -> None:
     deferred: list[tuple] = []  # overlay entries blocked only by `probed`
 
     for t in range(t0, t1):
-        if not active:
+        if not pool.num_active():
             break
         monitor._clock = t
         budget_left = budget.at(t)
@@ -1485,7 +1315,7 @@ def run_fast_span(monitor: "OnlineMonitor", t0: Chronon, t1: Chronon) -> None:
             stream_ready = False
             while si < len(sr):
                 row = sr[si]
-                if row in dirty or row not in active:
+                if row in dirty or not active[row]:
                     si += 1
                     continue
                 rid = row_resource[row]
@@ -1499,7 +1329,7 @@ def run_fast_span(monitor: "OnlineMonitor", t0: Chronon, t1: Chronon) -> None:
                 orow = entry[3]
                 if (
                     cur.get(orow) != (entry[0], entry[1], entry[2])
-                    or orow not in active
+                    or not active[orow]
                 ):
                     heapq.heappop(overlay)
                     continue

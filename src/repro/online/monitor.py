@@ -73,6 +73,19 @@ _EPS = 1e-9
 __all__ = ["ENGINES", "OnlineMonitor"]
 
 
+def _next_event(t: Chronon, stop: Chronon, *timelines: Mapping[Chronon, list]) -> Chronon:
+    """The first chronon after ``t`` and before ``stop`` keyed in a timeline.
+
+    Returns ``stop`` when there is none.  A chronon-by-chronon probe: the
+    stretches it walks are ones the run skips outright, and a timeline
+    may hold many more keys than the stretch has chronons.
+    """
+    u = t + 1
+    while u < stop and not any(u in timeline for timeline in timelines):
+        u += 1
+    return u
+
+
 class OnlineMonitor:
     """Stateful online scheduler for complex execution intervals.
 
@@ -110,7 +123,7 @@ class OnlineMonitor:
     arena:
         Optional pre-compiled :class:`repro.sim.arena.InstanceArena` of
         the problem instance this run will monitor.  The vectorized pool
-        then shares the arena's immutable columns and mirrors instead of
+        then shares the arena's immutable columns instead of
         rebuilding them per run — bit-identical results, with the per-EI
         registration walk amortized across every policy run of the same
         instance.  Requires ``Engine.VECTORIZED`` or ``Engine.AUTO``;
@@ -312,8 +325,8 @@ class OnlineMonitor:
             # itself immediately.
             self._dispatch_tick()
         if self._sharded is not None and not self._sharded.attached(self.pool):
-            # Growth churn reallocated the pool's mirrors away from the
-            # shared segment (adopt_arena after a registering patch):
+            # Growth churn reallocated the pool's per-run columns away from
+            # the shared segment (adopt_arena after a registering patch):
             # demote cleanly and finish the run single-engine.  Cancel-
             # only churn mutates the shared columns in place and stays
             # sharded.
@@ -343,9 +356,7 @@ class OnlineMonitor:
             # The fast pool can skip materializing EI object lists when no
             # activation hook will consume them.
             collect = self._wants_activation_hook
-            opened: list[ExecutionInterval] = []
-            for cei in new_ceis:
-                opened.extend(self.pool.register(cei, chronon, collect))
+            opened = self.pool.register_all(new_ceis, chronon, collect)
             opened.extend(self.pool.open_windows(chronon, collect))
         else:
             opened = []
@@ -450,17 +461,16 @@ class OnlineMonitor:
     def _event_timelines(self) -> tuple[Mapping[Chronon, list], Mapping[Chronon, list]]:
         """The pool's pending (activation, expiry) chronon maps.
 
-        Arena-backed pools read the arena's shared timelines, whose keys
-        may belong to never-registered CEIs — treated as events anyway
-        (conservative: the run just steps those chronons normally).
+        Fast pools read their arena's timelines, whose keys may belong
+        to never-registered CEIs of a shared arena — treated as events
+        anyway (conservative: the run just steps those chronons normally).
         Entries at already-passed chronons can linger after skips; they
         are harmless (pops are exact-key and the clock only advances) and
         never looked at again.
         """
         pool = self.pool
-        arena = getattr(pool, "_arena", None)
-        if arena is not None:
-            return arena.activate_at, arena.expire_at
+        if self._pool_fast:
+            return pool._arena.activate_at, pool._arena.expire_at
         return pool._to_activate, pool._to_expire
 
     def _run_batched(
@@ -491,15 +501,15 @@ class OnlineMonitor:
             while ai < len(arr_keys) and arr_keys[ai] < t:
                 ai += 1
             has_arrival = ai < len(arr_keys) and arr_keys[ai] == t
+            # The next arrival bounds any skip (the epoch end if none).
+            stop = min(arr_keys[ai], horizon) if ai < len(arr_keys) else horizon
             act, exp = self._event_timelines()
             if not has_arrival and t not in act and self.pool.num_active() == 0:
                 # Idle run: with an empty bag and no openings, nothing can
                 # happen until the next arrival or activation (expiries in
                 # the window are pure pop-skips — an expiring row that
                 # mattered would have had to be active).  Skip to it.
-                next_arr = arr_keys[ai] if ai < len(arr_keys) else horizon
-                next_act = min((k for k in act if k > t), default=horizon)
-                u = min(next_arr, next_act, horizon)
+                u = _next_event(t, stop, act)
                 num_budgeted = len(self.budget.values)
                 if u > num_budgeted:
                     # The step loop reads budget.at every chronon, idle or
@@ -519,10 +529,7 @@ class OnlineMonitor:
                 and t not in exp
                 and self.pool.num_active() > 0
             ):
-                next_arr = arr_keys[ai] if ai < len(arr_keys) else horizon
-                next_act = min((k for k in act if k > t), default=horizon)
-                next_exp = min((k for k in exp if k > t), default=horizon)
-                u = min(next_arr, next_act, next_exp, horizon)
+                u = _next_event(t, stop, act, exp)
                 if u - t >= 2:
                     # Event-free span: the bag only changes through this
                     # walk's own captures — one batched call covers it.

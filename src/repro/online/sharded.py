@@ -32,10 +32,10 @@ Shared state
 ------------
 Workers see coordinator mutations through one
 :class:`repro.sim.arena.SharedArenaView` segment: the static row/CEI
-columns are copied in once, and the pool's *mutable* mirror columns
-(``np_active``, ``npc_captured_f``, ``npc_medf_s_f``,
+columns are copied in once, and the pool's per-run columns the kernels
+read (``np_active``, ``npc_captured_f``, ``npc_medf_s_f``,
 ``npc_medf_open_f``) are re-pointed at the segment so the coordinator's
-ordinary elementwise writes are immediately shard-visible; the
+ordinary event-time writes are immediately shard-visible; the
 command/response pipe round-trip is the ordering barrier.  A fork-safe
 ``npc_in_plus`` column freezes the non-preemptive plus/minus split at
 chronon start (a CEI capturing mid-plus must stay in the minus
@@ -44,7 +44,7 @@ partition, exactly like the local engine's precomputed mask).
 Demotion
 --------
 Arena churn that grows the instance (:func:`repro.sim.arena.apply_patch`
-with registrations) reallocates mirror columns and detaches them from
+with registrations) reallocates the per-run columns and detaches them from
 the segment; the engine detects this at step start and *demotes*: pool
 state is privatized (copied out of shared memory), workers stop, the
 segment is unlinked, and the run continues bit-identically on the local
@@ -99,7 +99,7 @@ class ShardingStats:
 def shardable_reason(kernel) -> Optional[str]:
     """Why this kernel cannot run sharded (None when it can).
 
-    Shard workers score their partition against the shared mirror
+    Shard workers score their partition against the shared
     columns only; a kernel is shardable iff its ``score_rows`` is a pure
     elementwise gather over those columns.  Row-dependent kernels
     (expected-gain families) read live policy/health state that exists
@@ -408,7 +408,7 @@ class ShardedEngine:
             columns[name] = getattr(pool, name)
         columns["npc_in_plus"] = np.zeros(max(self.n_ceis, 1), bool)
         self.view = SharedArenaView.publish(columns)
-        # Re-point the pool's mutable mirrors at the segment (current
+        # Re-point the pool's per-run columns at the segment (current
         # values were copied in by publish) so the coordinator's ordinary
         # event-time writes are shard-visible without extra copies.
         for name in _MUTABLE_FIELDS:
@@ -467,8 +467,8 @@ class ShardedEngine:
         """Does ``pool`` still share this engine's segment?
 
         Growth churn (``adopt_arena`` after a registering patch)
-        reallocates mirrors and detaches them; cancel-only churn mutates
-        in place and stays attached.
+        reallocates the per-run columns and detaches them; cancel-only
+        churn mutates in place and stays attached.
         """
         if len(pool.row_seq) != self.n_rows or len(pool.cei_rank) != self.n_ceis:
             return False
@@ -535,9 +535,8 @@ def run_sharded_phases(
     """
     pool = monitor.pool
     engine: ShardedEngine = monitor._sharded
-    if not pool.active_set:
+    if not pool.num_active():
         return budget_left
-    pool.sync_mirrors()
 
     if monitor.preemptive:
         try:
@@ -546,8 +545,7 @@ def run_sharded_phases(
             return _phase_walk(monitor, chronon, budget_left, probed, stream, None)
         except ShardWorkerDied:
             _demote(monitor, "shard worker died mid-run")
-            rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
-            return _fast_phase(monitor, rows, chronon, budget_left, probed,
+            return _fast_phase(monitor, pool.bag(), chronon, budget_left, probed,
                                whole_bag=True)
 
     engine.freeze_split()
@@ -566,10 +564,8 @@ def run_sharded_phases(
     if budget_left > _EPS:
         if frozen is None:
             try:
-                # Plus-phase captures must reach the scoring columns the
-                # workers read, exactly as the local engine syncs at each
-                # phase start.
-                pool.sync_mirrors()
+                # Plus-phase captures already sit in the shared scoring
+                # columns the workers read.
                 stream = engine.open_stream("minus", chronon, budget_left,
                                             monitor._min_probe_cost)
                 membership = engine.membership(want_plus=False)
@@ -591,7 +587,7 @@ def _local_split_phase(monitor, chronon, budget_left, probed,
                        frozen: np.ndarray, plus: bool) -> float:
     """One plus/minus phase on the local path with a pre-frozen split."""
     pool = monitor.pool
-    rows = np.flatnonzero(pool.np_active[: len(pool.row_seq)])
+    rows = pool.bag()
     side = frozen[pool.npr_cidx[rows]]
     rows = rows[side] if plus else rows[~side]
     if not rows.size:

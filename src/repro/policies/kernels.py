@@ -4,7 +4,7 @@ The reference monitor ranks candidates by calling ``Policy.sort_key`` once
 per execution interval per chronon — a pure-Python loop that dominates the
 ``O(A log A)`` chronon bound of Appendix B.  The kernels in this module
 score an *entire candidate bag* with a handful of NumPy operations against
-the structure-of-arrays candidate table kept by
+the columnar candidate table kept by
 :class:`repro.online.fastpath.FastCandidatePool`.
 
 A kernel has two duties:
@@ -96,7 +96,7 @@ class ScoreKernel:
     ) -> np.ndarray:
         """Float64 priorities for candidate ``rows`` (lower probes first).
 
-        ``cidx`` is the pre-gathered ``pool.row_cidx[rows]`` — phases need
+        ``cidx`` is the pre-gathered ``pool.npr_cidx[rows]`` — phases need
         it anyway, so the engine computes it once and shares it.
         """
         raise NotImplementedError
@@ -153,7 +153,7 @@ class MRSFKernel(ScoreKernel):
         return compiled.mrsf_scores(pool.npc_rank_f[cidx], pool.npc_captured_f[cidx])
 
     def score_cei(self, pool: "FastCandidatePool", cidx: int, chronon: int) -> float:
-        return float(pool.cei_rank[cidx] - pool.cei_captured[cidx])
+        return float(pool.npc_rank_f[cidx] - pool.npc_captured_f[cidx])
 
 
 class MEDFKernel(ScoreKernel):
@@ -173,7 +173,7 @@ class MEDFKernel(ScoreKernel):
         )
 
     def score_cei(self, pool: "FastCandidatePool", cidx: int, chronon: int) -> float:
-        return float(pool.cei_medf_s[cidx] - pool.cei_medf_open[cidx] * chronon)
+        return float(pool.npc_medf_s_f[cidx] - pool.npc_medf_open_f[cidx] * chronon)
 
 
 class WeightedSEDFKernel(SEDFKernel):

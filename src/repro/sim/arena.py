@@ -2,20 +2,22 @@
 
 The suite methodology (paper Section V-A.3) runs *every* policy on the
 identical problem instance of each repetition.  Without help, each of
-those runs pays the same pure-Python setup walk:
-``FastCandidatePool.register`` iterates every EI of every CEI, recomputes
-the M-EDF aggregates and rebuilds the window-event timelines —
-identically, once per *(repetition, policy)* cell.
+those runs pays the same pure-Python setup walk: registering every EI of
+every CEI, computing the initial M-EDF aggregates and building the
+window-event timelines — identically, once per *(repetition, policy)*
+cell.
 
 :func:`compile_arena` performs that walk once and freezes the result into
 an :class:`InstanceArena`: a structure-of-arrays snapshot of the instance
-holding the per-row columns, fully-synced NumPy mirrors, the initial
-M-EDF aggregates and the activation/expiry timelines, plus the arrival
-map the monitor consumes.  ``FastCandidatePool(arena=...)`` then starts a
-run by *sharing* the immutable structures and copying only the per-run
-mutable state (captured flags, active masks, aggregate columns), which
-turns per-policy setup from O(total EIs) of Python bookkeeping into a
-handful of array copies.
+holding the static per-row and per-CEI columns (as Python lists for the
+probe walk's scalar reads, and as NumPy columns for the vectorized event
+and scoring code), the initial M-EDF aggregates and the
+activation/expiry timelines, plus the arrival map the monitor consumes.
+``FastCandidatePool(arena=...)`` then starts a run by *sharing* the
+static columns and allocating only the per-run NumPy state (row state,
+active mask, CEI status and aggregates), which turns per-policy setup
+from O(total EIs) of Python bookkeeping into a handful of array
+allocations.
 
 The arena is strictly a cache: a monitor run against an arena-backed pool
 is bit-for-bit identical to one that registers the same CEIs
@@ -25,14 +27,16 @@ reference engine).  Registration semantics are compiled for arrival at
 each CEI's release chronon by default — the arrival rule ``simulate`` /
 ``run_suite`` use — or at explicit arrival chronons for streaming
 workloads, and the arena-backed pool rejects registrations that disagree
-with the compiled schedule.
+with the compiled schedule.  An incremental pool is itself built on a
+private arena that it extends one registration at a time through the
+same compile walk (:func:`_register_cei`).
 
 **Delta layer.**  A long-lived proxy cannot afford a full recompile per
 churn event.  :class:`ArenaPatch` describes one churn batch (CEIs to
 register at given arrival chronons, cids to cancel, a horizon to expire)
 and :func:`apply_patch` applies it *incrementally*: the shared Python
 columns are extended in place through the same per-CEI compile walk
-``compile_arena`` uses, the NumPy mirrors are extended by one
+``compile_arena`` uses, the NumPy columns are extended by one
 concatenate each, and live arena-backed pools adopt the result without
 losing any run state (``FastCandidatePool.adopt_arena``).  Because the
 probe loop's selection keys are ``(priority, finish, seq)`` — and seqs
@@ -67,14 +71,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class InstanceArena:
     """Frozen structure-of-arrays snapshot of one problem instance.
 
-    The scalar fields and NumPy mirrors are immutable for the lifetime of
+    The scalar fields and NumPy columns are immutable for the lifetime of
     *this arena object*; pools built from it share the Python containers
-    and never write to them.  Rows appear in registration order (CEIs
+    and the NumPy columns and never write to them.  Rows appear in registration order (CEIs
     sorted by arrival, EIs in CEI order), exactly the order an
     incremental pool would build.
 
     :func:`apply_patch` extends the shared containers in place and
-    returns a *new* ``InstanceArena`` with fresh scalars and mirrors; the
+    returns a *new* ``InstanceArena`` with fresh scalars and columns; the
     patched-out object must not be used to build new pools afterwards
     (its scalar fields undercount the shared containers).  Live pools
     migrate via :meth:`repro.online.fastpath.FastCandidatePool.adopt_arena`.
@@ -89,13 +93,16 @@ class InstanceArena:
 
     # Row-level columns (one row per usable EI).
     row_seq: list[int]
+    row_start: list[int]
     row_finish: list[int]
     row_resource: list[int]
     row_cidx: list[int]
     row_ei: list[ExecutionInterval]
 
-    # Pre-synced NumPy mirrors (see FastCandidatePool.sync_mirrors).
+    # The same row columns in NumPy form, for the vectorized window
+    # events, captures and scoring kernels (see :func:`_row_columns`).
     npr_seq: np.ndarray
+    npr_start_f: np.ndarray
     npr_finish: np.ndarray
     npr_finish_f: np.ndarray
     npr_resource: np.ndarray
@@ -116,8 +123,12 @@ class InstanceArena:
     cei_row_end: list[int]
     cei_release: list[Chronon]
     cei_obj: list[ComplexExecutionInterval]
+    # NumPy CEI columns (see :func:`_cei_columns`).
     npc_rank_f: np.ndarray
     npc_weight: np.ndarray
+    npc_required_f: np.ndarray
+    npc_row_begin: np.ndarray
+    npc_row_end: np.ndarray
 
     #: Rows active immediately at registration, per CEI index.
     immediate_rows: list[list[int]]
@@ -194,9 +205,8 @@ class ArenaPatch:
 def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> int:
     """Compile one CEI's registration at arrival chronon ``at``.
 
-    ``cols`` is anything exposing the arena's mutable containers (the
-    arena itself, or the builder below).  Mirrors
-    ``FastCandidatePool.register`` / ``CandidatePool.register`` exactly:
+    ``cols`` is an arena whose Python containers are extended in place.
+    Matches ``CandidatePool.register`` exactly:
     EIs already expired at arrival contribute the open M-EDF form
     ``(finish + 1, 1)`` without materializing a row, and a CEI whose
     surviving EIs cannot reach ``required`` is dead on arrival (no rows).
@@ -230,6 +240,7 @@ def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> int:
                 continue
             row = len(cols.row_seq)
             cols.row_seq.append(ei.seq)
+            cols.row_start.append(ei.start)
             cols.row_finish.append(finish)
             cols.row_resource.append(ei.resource)
             cols.row_cidx.append(cidx)
@@ -251,68 +262,66 @@ def _register_cei(cols, cei: ComplexExecutionInterval, at: Chronon) -> int:
     return active_chronons
 
 
-def _row_mirrors(
-    row_seq: Sequence[int],
-    row_finish: Sequence[int],
-    row_resource: Sequence[int],
-    row_cidx: Sequence[int],
-) -> dict:
-    """NumPy row mirrors plus the packed-key scalars for a row slice."""
-    npr_seq = np.asarray(row_seq, np.int64)
-    npr_finish = np.asarray(row_finish, np.int64)
-    # Same packed tie-break key the incremental pool maintains: valid
-    # while both components fit in 21 bits (FastCandidatePool._packable).
+def _row_columns(arena: InstanceArena, begin: int) -> dict:
+    """NumPy row columns for rows ``begin:`` of the arena's lists."""
+    npr_seq = np.asarray(arena.row_seq[begin:], np.int64)
+    npr_finish = np.asarray(arena.row_finish[begin:], np.int64)
     return dict(
         npr_seq=npr_seq,
+        npr_start_f=np.asarray(arena.row_start[begin:], np.float64),
         npr_finish=npr_finish,
         npr_finish_f=npr_finish.astype(np.float64),
-        npr_resource=np.asarray(row_resource, np.int64),
-        npr_cidx=np.asarray(row_cidx, np.int64),
+        npr_resource=np.asarray(arena.row_resource[begin:], np.int64),
+        npr_cidx=np.asarray(arena.row_cidx[begin:], np.int64),
+        # Packed tie-break key: finish * 2^21 + seq orders rows exactly
+        # like the (finish, seq) pair while both fit in 21 bits (see
+        # ``packable``); one int64 column then replaces two lexsort keys.
         npr_static=npr_finish * (1 << 21) + npr_seq,
-        max_seq=int(npr_seq.max()) if len(row_seq) else 0,
-        max_finish=int(npr_finish.max()) if len(row_seq) else 0,
     )
 
 
-def compile_arena(
-    profiles: ProfileSet,
-    *,
+def _cei_columns(arena: InstanceArena, begin: int) -> dict:
+    """NumPy CEI columns for CEIs ``begin:`` of the arena's lists."""
+    return dict(
+        npc_rank_f=np.asarray(arena.cei_rank[begin:], np.float64),
+        npc_weight=np.asarray(arena.cei_weight[begin:], np.float64),
+        npc_required_f=np.asarray(arena.cei_required[begin:], np.float64),
+        npc_row_begin=np.asarray(arena.cei_row_begin[begin:], np.int64),
+        npc_row_end=np.asarray(arena.cei_row_end[begin:], np.int64),
+    )
+
+
+def _key_bounds(npr_seq: np.ndarray, npr_finish: np.ndarray) -> tuple[int, int]:
+    """Largest seq and finish of a row slice (0 when empty)."""
+    if not npr_seq.size:
+        return 0, 0
+    return int(npr_seq.max()), int(npr_finish.max())
+
+
+def empty_arena(
+    profiles: Optional[ProfileSet] = None,
     arrivals: Optional[dict[Chronon, list[ComplexExecutionInterval]]] = None,
 ) -> InstanceArena:
-    """Compile a profile set into a reusable :class:`InstanceArena`.
-
-    Performs the registration walk of every CEI exactly once, mirroring
-    ``FastCandidatePool.register`` semantics: the dead-on-arrival rule,
-    the immediate-vs-deferred activation split and the initial M-EDF
-    aggregates (``S`` and ``n_open`` right after registration).  The cost
-    is O(total EIs) — amortized over every policy run that reuses the
-    arena.
-
-    By default every CEI registers at its release chronon (the only
-    arrival rule ``simulate`` / ``run_suite`` use).  An explicit
-    ``arrivals`` map compiles each CEI at the chronon it appears under
-    instead — the from-scratch baseline for a streaming run whose churn
-    timeline is known in advance.
-    """
-    if arrivals is None:
-        arrivals = arrivals_from_profiles(profiles)
-
-    arena = InstanceArena(
-        profiles=profiles,
-        arrivals=arrivals,
+    """An arena with no CEIs, ready for :func:`_register_cei` to extend."""
+    rows = np.empty(0, np.int64)
+    return InstanceArena(
+        profiles=ProfileSet() if profiles is None else profiles,
+        arrivals={} if arrivals is None else arrivals,
         n_rows=0,
         n_ceis=0,
         row_seq=[],
+        row_start=[],
         row_finish=[],
         row_resource=[],
         row_cidx=[],
         row_ei=[],
-        npr_seq=np.empty(0, np.int64),
-        npr_finish=np.empty(0, np.int64),
+        npr_seq=rows,
+        npr_start_f=np.empty(0, np.float64),
+        npr_finish=rows,
         npr_finish_f=np.empty(0, np.float64),
-        npr_resource=np.empty(0, np.int64),
-        npr_cidx=np.empty(0, np.int64),
-        npr_static=np.empty(0, np.int64),
+        npr_resource=rows,
+        npr_cidx=rows,
+        npr_static=rows,
         max_seq=0,
         max_finish=0,
         packable=True,
@@ -328,34 +337,60 @@ def compile_arena(
         cei_obj=[],
         npc_rank_f=np.empty(0, np.float64),
         npc_weight=np.empty(0, np.float64),
+        npc_required_f=np.empty(0, np.float64),
+        npc_row_begin=rows,
+        npc_row_end=rows,
         immediate_rows=[],
         activate_at={},
         expire_at={},
         row_of_seq={},
         cidx_of_cid={},
     )
+
+
+def compile_arena(
+    profiles: ProfileSet,
+    *,
+    arrivals: Optional[dict[Chronon, list[ComplexExecutionInterval]]] = None,
+) -> InstanceArena:
+    """Compile a profile set into a reusable :class:`InstanceArena`.
+
+    Performs the registration walk of every CEI exactly once, with
+    ``CandidatePool.register`` semantics: the dead-on-arrival rule,
+    the immediate-vs-deferred activation split and the initial M-EDF
+    aggregates (``S`` and ``n_open`` right after registration).  The cost
+    is O(total EIs) — amortized over every policy run that reuses the
+    arena.
+
+    By default every CEI registers at its release chronon (the only
+    arrival rule ``simulate`` / ``run_suite`` use).  An explicit
+    ``arrivals`` map compiles each CEI at the chronon it appears under
+    instead — the from-scratch baseline for a streaming run whose churn
+    timeline is known in advance.
+    """
+    if arrivals is None:
+        arrivals = arrivals_from_profiles(profiles)
+
+    arena = empty_arena(profiles, arrivals)
     active_chronons = 0
     for arrival in sorted(arrivals):
         for cei in arrivals[arrival]:
             active_chronons += _register_cei(arena, cei, arrival)
 
-    mirrors = _row_mirrors(
-        arena.row_seq, arena.row_finish, arena.row_resource, arena.row_cidx
-    )
-    mean_bag = (
-        active_chronons / (mirrors["max_finish"] + 1) if arena.row_seq else 0.0
-    )
+    rows = _row_columns(arena, 0)
+    max_seq, max_finish = _key_bounds(rows["npr_seq"], rows["npr_finish"])
+    mean_bag = active_chronons / (max_finish + 1) if arena.row_seq else 0.0
     return dataclasses.replace(
         arena,
         n_rows=len(arena.row_seq),
         n_ceis=len(arena.cei_rank),
-        packable=mirrors["max_seq"] < (1 << 21)
-        and mirrors["max_finish"] < (1 << 21),
-        npc_rank_f=np.asarray(arena.cei_rank, np.float64),
-        npc_weight=np.asarray(arena.cei_weight, np.float64),
+        max_seq=max_seq,
+        max_finish=max_finish,
+        packable=max_seq < (1 << 21) and max_finish < (1 << 21),
         mean_bag=mean_bag,
         active_chronons=active_chronons,
-        **mirrors,
+        **rows,
+        **_cei_columns(arena, 0),
     )
 
 
@@ -368,14 +403,14 @@ def apply_patch(
 
     The shared Python containers are extended **in place** (so every
     structure a live pool already shares keeps working), and a new
-    ``InstanceArena`` carrying extended NumPy mirrors and corrected
+    ``InstanceArena`` carrying extended NumPy columns and corrected
     scalars is returned.  Cost is O(new EIs) Python work plus one
-    O(total rows) NumPy concatenate per mirror — no recompile.
+    O(total rows) NumPy concatenate per column — no recompile.
 
     ``pools`` lists the live arena-backed pools sharing ``arena``; each
-    one adopts the patched arena (per-run columns extended, mirrors
-    privatized) and has the patch's cancellations applied to its open
-    CEIs.  **Every** live pool of the arena must be listed — a pool left
+    one adopts the patched arena (static columns re-pointed, per-run
+    columns extended) and has the patch's cancellations applied to its
+    open CEIs.  **Every** live pool of the arena must be listed — a pool left
     out would observe the grown shared columns without the matching
     per-run state.  Registered CEIs are *not* revealed here: they enter
     each pool when the monitor steps their arrival chronon, exactly like
@@ -426,19 +461,15 @@ def apply_patch(
             for chronon in [t for t in timeline if t < horizon]:
                 del timeline[chronon]
 
-    # Extend the mirrors by one concatenate each (exact-size, fully
-    # synced, never written afterwards — same contract as a fresh compile).
-    new = _row_mirrors(
-        arena.row_seq[old_rows:],
-        arena.row_finish[old_rows:],
-        arena.row_resource[old_rows:],
-        arena.row_cidx[old_rows:],
-    )
-    max_seq = max(arena.max_seq, new.pop("max_seq"))
-    max_finish = max(arena.max_finish, new.pop("max_finish"))
-    mirrors = {
+    # Extend the NumPy columns by one concatenate each (exact-size, never
+    # written afterwards — same contract as a fresh compile).
+    rows = _row_columns(arena, old_rows)
+    new_seq, new_finish = _key_bounds(rows["npr_seq"], rows["npr_finish"])
+    max_seq = max(arena.max_seq, new_seq)
+    max_finish = max(arena.max_finish, new_finish)
+    columns = {
         name: np.concatenate([getattr(arena, name), fresh])
-        for name, fresh in new.items()
+        for name, fresh in (*rows.items(), *_cei_columns(arena, old_ceis).items())
     }
     patched = dataclasses.replace(
         arena,
@@ -447,26 +478,18 @@ def apply_patch(
         max_seq=max_seq,
         max_finish=max_finish,
         packable=max_seq < (1 << 21) and max_finish < (1 << 21),
-        npc_rank_f=np.concatenate(
-            [arena.npc_rank_f, np.asarray(arena.cei_rank[old_ceis:], np.float64)]
-        ),
-        npc_weight=np.concatenate(
-            [arena.npc_weight, np.asarray(arena.cei_weight[old_ceis:], np.float64)]
-        ),
         mean_bag=(
             active_chronons / (max_finish + 1) if arena.row_seq else 0.0
         ),
         active_chronons=active_chronons,
-        **mirrors,
+        **columns,
     )
 
     for pool in pools:
         pool.adopt_arena(patched)
         for cid in patch.cancel:
-            cidx = patched.cidx_of_cid[cid]
-            registered = pool._registered
-            if registered is not None and registered[cidx]:
-                pool.cancel_cei(patched.cei_obj[cidx])
+            # A no-op for CEIs the pool has not registered yet.
+            pool.cancel_cei(patched.cei_obj[patched.cidx_of_cid[cid]])
     return patched
 
 

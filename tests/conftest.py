@@ -10,6 +10,10 @@ from repro.core.profile import Profile, ProfileSet
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
 
+# The pool audit helper asserts; rewrite it like a test module so its
+# checks report values and survive ``python -O``.
+pytest.register_assert_rewrite("tests.pool_audit")
+
 
 @pytest.fixture
 def epoch() -> Epoch:

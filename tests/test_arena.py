@@ -74,12 +74,11 @@ class TestCompile:
         pool = FastCandidatePool()
         for cidx, cei in enumerate(arena.cei_obj):
             pool.register(cei, arena.cei_release[cidx])
-        pool.sync_mirrors()
         assert pool.row_seq == arena.row_seq
         assert pool.row_finish == arena.row_finish
         assert pool.row_resource == arena.row_resource
         assert pool.cei_rank == arena.cei_rank
-        # Incremental mirrors are capacity-doubled; compare the live prefix.
+        # Incremental columns are capacity-doubled; compare the live prefix.
         n = len(pool.row_seq)
         np.testing.assert_array_equal(pool.npr_seq[:n], arena.npr_seq)
         np.testing.assert_array_equal(pool.npr_static[:n], arena.npr_static)

@@ -318,7 +318,7 @@ class TestMigrations:
         fast = fast_pool_from_reference(ref, now)
         assert fast.num_active() == ref.num_active()
         assert (
-            {fast.row_seq[row] for row in fast.active_set}
+            {fast.row_seq[row] for row in fast.bag().tolist()}
             == {ei.seq for ei in ref._active.values()}
         )
         assert fast.num_registered == ref.num_registered

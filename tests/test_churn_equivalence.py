@@ -32,6 +32,7 @@ from repro.online.shedding import SheddingConfig
 from repro.online.streaming import StreamingMonitor
 from repro.sim.arena import compile_arena
 from tests.conftest import make_cei
+from tests.pool_audit import audited
 
 ENGINES = ["reference", "vectorized", "auto"]
 ARENA_ENGINES = ["vectorized", "auto"]
@@ -87,6 +88,7 @@ def _instantiate(script):
 
 
 def _drive(monitor, events, index):
+    audited(monitor._monitor)
     for t in range(HORIZON):
         for chronon, kind, payload in events:
             if chronon != t:

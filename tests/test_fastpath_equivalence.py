@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.intervals import ComplexExecutionInterval, Semantics
 from repro.core.resource import Resource, ResourcePool
 from repro.core.schedule import BudgetVector
 from repro.core.timebase import Epoch
@@ -33,7 +34,8 @@ from repro.online.health import HealthConfig
 from repro.online.monitor import OnlineMonitor
 from repro.online.shedding import SheddingConfig
 from repro.policies import MRSF, make_policy
-from tests.conftest import random_general_instance
+from tests.conftest import make_ei, random_general_instance
+from tests.pool_audit import audited
 
 PAPER_POLICIES = ["S-EDF", "MRSF", "M-EDF"]
 WEIGHTED_POLICIES = ["W-S-EDF", "W-MRSF", "W-M-EDF"]
@@ -76,7 +78,7 @@ def _run(
         ),
         **kwargs,
     )
-    monitor.run(Epoch(NUM_CHRONONS), arrivals)
+    audited(monitor).run(Epoch(NUM_CHRONONS), arrivals)
     monitor.check_budget_feasible()
     return monitor
 
@@ -121,6 +123,66 @@ class TestKernelPolicies:
         base = _run("vectorized", make_policy("MRSF"), arrivals)
         weighted = _run("vectorized", make_policy("W-MRSF"), arrivals)
         assert weighted.schedule.probes == base.schedule.probes
+
+
+def _mixed_instance(seed: int, num_ceis: int = 30):
+    """ALL, ANY and k-of-n CEIs over few resources, some arriving late.
+
+    Few resources make a CEI's EIs share a resource (one probe captures
+    several of its rows); late arrivals exercise dead-on-arrival CEIs and
+    EIs expired before registration.
+    """
+    rng = np.random.default_rng(seed)
+    arrivals: dict[int, list] = {}
+    for __ in range(num_ceis):
+        eis = []
+        for __r in range(int(rng.integers(1, 6))):
+            start = int(rng.integers(0, NUM_CHRONONS - 1))
+            finish = min(NUM_CHRONONS - 1, start + int(rng.integers(0, 7)))
+            eis.append(make_ei(int(rng.integers(0, 4)), start, finish))
+        semantics = list(Semantics)[int(rng.integers(0, 3))]
+        required = (
+            int(rng.integers(1, len(eis) + 1))
+            if semantics is Semantics.AT_LEAST else 0
+        )
+        cei = ComplexExecutionInterval(
+            eis=tuple(eis), semantics=semantics, required=required,
+            weight=float(rng.choice([0.5, 1.0, 3.0])),
+        )
+        late = int(rng.integers(1, 4)) if rng.random() < 0.3 else 0
+        arrivals.setdefault(min(NUM_CHRONONS - 1, cei.release + late), []).append(cei)
+    return arrivals
+
+
+class TestMixedSemantics:
+    """Capture semantics beyond ALL, where satisfied CEIs keep live rows."""
+
+    @pytest.mark.parametrize("policy_name", PAPER_POLICIES + ["W-M-EDF"])
+    @pytest.mark.parametrize("preemptive", [True, False])
+    @pytest.mark.parametrize("exploit_overlap", [True, False])
+    def test_schedules_identical(self, policy_name, preemptive, exploit_overlap):
+        for seed in (11, 12, 13):
+            assert_engines_agree(
+                policy_name,
+                _mixed_instance(seed),
+                budget=1.0,
+                preemptive=preemptive,
+                exploit_overlap=exploit_overlap,
+            )
+
+    @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
+    def test_with_shedding_and_partial_faults(self, policy_name):
+        for seed in (14, 15):
+            assert_engines_agree(
+                policy_name,
+                _mixed_instance(seed),
+                budget=1.0,
+                faults=FailureModel(rate=0.3, seed=seed, partial_rate=0.3),
+                retry=RetryPolicy(max_retries=1),
+                shedding=SheddingConfig(
+                    overload_on=1.1, overload_off=1.0, sustain=1, target_ratio=1.0
+                ),
+            )
 
 
 class TestFallbackPolicies:
@@ -425,7 +487,7 @@ class TestTopKSelection:
             assert_engines_agree("MRSF", _instance(35), budget=3.0, resources=pool)
 
     def test_mirror_reallocs_grow_logarithmically(self):
-        """Counter sanity: syncing after every register stays O(log n)."""
+        """Counter sanity: registering one CEI at a time stays O(log n)."""
         from repro.online.fastpath import FastCandidatePool
 
         rng = np.random.default_rng(40)
@@ -441,7 +503,6 @@ class TestTopKSelection:
         for profile in profiles:
             for cei in profile.ceis:
                 pool.register(cei, cei.release)
-                pool.sync_mirrors()
         rows = len(pool.row_seq)
         assert rows > 100
         assert pool.mirror_reallocs <= 2 * (int(np.ceil(np.log2(rows))) + 2)
@@ -835,7 +896,7 @@ def _run_arena(
         **kwargs,
     )
     try:
-        monitor.run(Epoch(NUM_CHRONONS), arena.arrivals)
+        audited(monitor).run(Epoch(NUM_CHRONONS), arena.arrivals)
     finally:
         monitor.close()
     monitor.check_budget_feasible()

@@ -1,10 +1,13 @@
 """Unit tests for completeness and runtime metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.errors import ModelError
 from repro.core.intervals import ComplexExecutionInterval, Semantics
 from repro.core.metrics import (
+    CompletenessReport,
     RuntimeStats,
     evaluate_schedule,
     gained_completeness,
@@ -81,6 +84,103 @@ class TestEvaluateSchedule:
     def test_gained_completeness_shortcut(self):
         profiles = make_profiles(make_cei((0, 0, 0)))
         assert gained_completeness(profiles, Schedule.from_pairs([(0, 0)])) == 1.0
+
+    @pytest.mark.parametrize("pairs", [[], [(0, 1)], [(1, 1)]])
+    def test_missing_true_window_raises(self, pairs):
+        ei = make_ei(0, 0, 2)
+        profiles = make_profiles(ComplexExecutionInterval(eis=(ei,)))
+        ei.true_start = None
+        schedule = Schedule.from_pairs(pairs)
+        with pytest.raises(ModelError, match="no ground-truth window"):
+            evaluate_schedule(profiles, schedule)
+        evaluate_schedule(profiles, schedule, use_true_window=False)
+
+
+def brute_force_report(profiles, schedule, use_true_window, dropped):
+    """Eq. 1 straight from the definition: one indicator per EI."""
+    num_eis = captured_eis = captured_ceis = 0
+    weight_total = weight_captured = 0.0
+    per_rank: dict[int, list[int]] = {}
+    ceis = list(profiles.ceis())
+    for cei in ceis:
+        weight_total += cei.weight
+        bucket = per_rank.setdefault(cei.rank, [0, 0])
+        bucket[0] += 1
+        hits = sum(
+            schedule.captures_ei(ei, use_true_window=use_true_window, dropped=dropped)
+            for ei in cei.eis
+        )
+        num_eis += len(cei.eis)
+        captured_eis += hits
+        if cei.satisfied_by_count(hits):
+            captured_ceis += 1
+            weight_captured += cei.weight
+            bucket[1] += 1
+    return CompletenessReport(
+        num_ceis=len(ceis),
+        captured_ceis=captured_ceis,
+        num_eis=num_eis,
+        captured_eis=captured_eis,
+        weight_total=weight_total,
+        weight_captured=weight_captured,
+        per_rank={rank: (t, c) for rank, (t, c) in per_rank.items()},
+    )
+
+
+RESOURCES = 3
+HORIZON = 12
+
+
+@st.composite
+def scored_instances(draw):
+    """Random profiles, a schedule and per-EI drops to score them with."""
+    ceis = []
+    for _ in range(draw(st.integers(0, 6))):
+        eis = []
+        for _ in range(draw(st.integers(1, 4))):
+            resource = draw(st.integers(0, RESOURCES - 1))
+            start = draw(st.integers(0, HORIZON - 1))
+            ei = make_ei(resource, start, draw(st.integers(start, HORIZON - 1)))
+            # A shifted EI schedules away from its (unmoved) true window.
+            offset = draw(st.integers(-3, 3))
+            eis.append(ei.shifted(offset) if offset else ei)
+        semantics = draw(st.sampled_from(list(Semantics)))
+        required = (
+            draw(st.integers(1, len(eis))) if semantics is Semantics.AT_LEAST else 0
+        )
+        ceis.append(ComplexExecutionInterval(
+            eis=tuple(eis),
+            semantics=semantics,
+            required=required,
+            weight=draw(st.sampled_from([1.0, 0.5, 2.5])),
+        ))
+    pairs = draw(st.sets(st.tuples(
+        st.integers(0, RESOURCES - 1), st.integers(0, HORIZON + 2)
+    )))
+    triples = sorted(
+        (resource, chronon, ei.seq)
+        for resource, chronon in pairs
+        for cei in ceis
+        for ei in cei.eis
+        if ei.resource == resource
+    )
+    dropped = draw(st.sets(st.sampled_from(triples))) if triples else set()
+    profiles = ProfileSet.from_ceis(ceis, per_profile=2)
+    return profiles, Schedule.from_pairs(pairs), dropped
+
+
+@settings(max_examples=200, deadline=None)
+@given(instance=scored_instances(), use_true_window=st.booleans())
+def test_property_indexed_scoring_matches_brute_force(instance, use_true_window):
+    profiles, schedule, dropped = instance
+    expected = brute_force_report(profiles, schedule, use_true_window, dropped)
+    assert evaluate_schedule(
+        profiles, schedule, use_true_window=use_true_window, dropped=dropped
+    ) == expected
+    # ``dropped`` may arrive as any collection of triples.
+    assert evaluate_schedule(
+        profiles, schedule, use_true_window=use_true_window, dropped=sorted(dropped)
+    ) == expected
 
 
 class TestRuntimeStats:
