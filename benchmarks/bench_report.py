@@ -23,8 +23,7 @@ exactly (the report aborts otherwise — a perf baseline measured on
 diverging engines would be meaningless).  Each full-monitor cell also
 carries the auto engine's dispatch decisions (initial/final engine,
 switches, batched spans, idle-skipped chronons), and the record header
-notes the worker-pool size and whether the optional numba kernels were
-requested/available/active.
+notes the worker-pool size.
 """
 
 from __future__ import annotations
@@ -611,8 +610,6 @@ def main(argv=None) -> Path:
     }
     if args.only:
         sections = {args.only: sections[args.only]}
-    from repro.policies import compiled
-
     record = {
         "git_sha": git_sha(),
         "date": date,
@@ -621,12 +618,6 @@ def main(argv=None) -> Path:
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "workers": suite_workers(),
-        "numba": {
-            "requested": compiled.NUMBA_REQUESTED,
-            "available": compiled.numba_available(),
-            "active": compiled.numba_active(),
-            "version": compiled.numba_version(),
-        },
         "reps": args.reps,
         "workload": "100 profiles x 400 chronons x 200 resources (seed 3)",
         **{name: build() for name, build in sections.items()},

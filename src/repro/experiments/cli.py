@@ -79,8 +79,7 @@ EXPERIMENTS: dict[str, tuple[str, Runner]] = {
     "summary": ("Reproduction self-check — verdict every claim", summary.run),
     "panorama": ("Extension — full policy panorama", panorama.run),
     "scalability": (
-        "Extension — repetition-chunked suite runner "
-        "(--engine/--workers; --shards N for the sharded giant instance)",
+        "Extension — repetition-chunked suite runner (--engine/--workers)",
         scalability.run,
     ),
 }
@@ -120,13 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = experiment default)",
     )
     runner.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="shared-memory shard workers for one giant instance, for "
-        "experiments that take them (0 = unsharded suite mode)",
-    )
-    runner.add_argument(
         "--format",
         choices=["table", "csv", "json"],
         default="table",
@@ -153,7 +145,6 @@ def run_one(
     reps: int,
     engine: str = "",
     workers: int = 0,
-    shards: int = 0,
 ) -> ExperimentResult:
     __, runner = EXPERIMENTS[key]
     kwargs: dict[str, object] = {"scale": scale, "seed": seed}
@@ -168,8 +159,6 @@ def run_one(
         kwargs["engine"] = engine
     if workers and "workers" in accepted:
         kwargs["workers"] = workers
-    if shards and "shards" in accepted:
-        kwargs["shards"] = shards
     return runner(**kwargs)
 
 
@@ -184,7 +173,7 @@ def main(argv: list[str] | None = None) -> int:
     for key in keys:
         result = run_one(
             key, args.scale, args.seed, args.reps,
-            engine=args.engine, workers=args.workers, shards=args.shards,
+            engine=args.engine, workers=args.workers,
         )
         if args.save:
             from pathlib import Path

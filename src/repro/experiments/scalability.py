@@ -13,14 +13,6 @@ either way.
 Unlike the figure modules this one is parameterized by the runner knobs
 themselves: ``repro-experiments run scalability --engine vectorized
 --workers 4`` exercises exactly the code path a production sweep uses.
-
-``--shards N`` switches to the orthogonal scaling axis: instead of many
-repetitions across a pool, ONE giant instance runs on the shared-memory
-sharded engine (:mod:`repro.online.sharded`) — the arena's resources
-partitioned across N forked workers that score and stream their top-k
-slices through the coordinator's merge.  The sharded schedule is
-asserted probe-for-probe identical to the single-engine run; wall-clock
-and speedup are reported per policy.
 """
 
 from __future__ import annotations
@@ -57,16 +49,12 @@ def run(
     repetitions: int = 4,
     engine: str = "vectorized",
     workers: int = 0,
-    shards: int = 0,
 ) -> ExperimentResult:
     """Time the suite serial vs repetition-chunked and verify equality.
 
     ``workers=0`` picks ``min(4, cpu_count)``; ``workers=1`` skips the
     parallel leg (the row then reports the serial numbers only).
-    ``shards > 0`` runs the giant-single-instance sharded mode instead.
     """
-    if shards > 0:
-        return run_sharded(scale=scale, seed=seed, shards=shards)
     epoch = Epoch(scaled(NUM_CHRONONS, scale, 50))
     num_resources = scaled(NUM_RESOURCES, scale, 20)
     num_profiles = scaled(NUM_PROFILES, scale, 10)
@@ -145,90 +133,6 @@ def run(
     result.notes.append(
         "statistics are seed-for-seed identical serial vs chunked; only "
         "wall-clock differs"
-    )
-    return result
-
-
-def run_sharded(
-    scale: float = 1.0, seed: int = 0, shards: int = 4
-) -> ExperimentResult:
-    """One giant instance, single engine vs ``shards`` shard workers.
-
-    Builds a dense Poisson instance (scaled), compiles it into an
-    :class:`~repro.sim.arena.InstanceArena` once, then runs each paper
-    policy twice over the same arena — unsharded and sharded — timing
-    the monitor loop only (compilation is shared and excluded).  A probe
-    schedule divergence is a contract violation and raises SystemExit.
-    """
-    from repro.sim.arena import compile_arena
-    from repro.sim.engine import simulate
-
-    epoch = Epoch(scaled(NUM_CHRONONS, scale, 50))
-    num_resources = scaled(NUM_RESOURCES, scale, 20)
-    num_profiles = scaled(NUM_PROFILES * 4, scale, 20)  # dense: one big bag
-    budget = constant_budget(4.0, epoch)
-    spec = GeneratorSpec(num_profiles=num_profiles, rank_max=RANK_MAX)
-    rule = LengthRule.window(max(4, scaled(WINDOW, scale, 4)))
-    rng = np.random.default_rng(seed)
-    profiles = poisson_instance(
-        rng, epoch, num_resources, MEAN_UPDATES, spec, rule
-    )
-    arena = compile_arena(profiles)
-
-    result = ExperimentResult(
-        experiment="Extension — shared-memory sharded engine, one giant "
-        f"instance (shards={shards}, ceis={arena.n_ceis}, "
-        f"rows={arena.n_rows}, cores={os.cpu_count()})",
-        headers=[
-            "policy",
-            "completeness",
-            "probes",
-            "single s",
-            "sharded s",
-            "speedup",
-            "identical",
-        ],
-    )
-    demote_reasons: set[str] = set()
-    for name, preemptive in POLICIES:
-        single = simulate(
-            arena, epoch, budget, name, preemptive=preemptive,
-            config=MonitorConfig(engine="vectorized"),
-        )
-        started = time.perf_counter()
-        sharded = simulate(
-            arena, epoch, budget, name, preemptive=preemptive,
-            config=MonitorConfig(engine="vectorized", shards=shards),
-        )
-        sharded_seconds = time.perf_counter() - started
-        if sharded.sharding is not None and sharded.sharding.demote_reason:
-            demote_reasons.add(sharded.sharding.demote_reason)
-        identical = sharded.schedule.probes == single.schedule.probes
-        result.rows.append(
-            [
-                name,
-                single.completeness,
-                single.probes_used,
-                round(single.runtime.total_seconds, 3),
-                round(sharded_seconds, 3),
-                round(single.runtime.total_seconds / sharded_seconds, 2),
-                "yes" if identical else "NO",
-            ]
-        )
-        if not identical:
-            raise SystemExit(
-                f"sharded schedule diverged from the single engine on "
-                f"{name} — probe-for-probe identity is the shard merge's "
-                "contract"
-            )
-    if demote_reasons:
-        result.notes.append(
-            "sharded runs demoted mid-flight: " + "; ".join(sorted(demote_reasons))
-        )
-    result.notes.append(
-        "schedules are probe-for-probe identical single vs sharded; "
-        "speedup needs free cores (one worker per shard plus the "
-        "coordinator) — on saturated or single-core hosts expect <= 1x"
     )
     return result
 

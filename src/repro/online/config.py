@@ -102,18 +102,6 @@ class MonitorConfig:
         sheds ``best-effort`` ones (``hard`` CEIs are never touched).
         Engine-neutral: both engines produce bit-identical schedules under
         the same shedding config.
-    shards:
-        Optional shard-worker count for the shared-memory sharded
-        scheduling engine (:mod:`repro.online.sharded`): the instance's
-        resources are partitioned across this many persistent forked
-        workers that score and top-k-select in parallel against shared
-        arena columns, merged by the coordinator into the exact
-        single-engine selection order (schedules stay bit-identical for
-        any count).  Requires ``engine="vectorized"`` and an
-        arena-backed monitor; policies without a shardable kernel (and
-        platforms without ``fork``) fall back to the single-engine path,
-        recorded in ``monitor.sharding_stats``.  ``shards=1`` is valid
-        (one worker, useful for testing the machinery).
 
     The object is frozen: derive variants with :meth:`replace`.
     """
@@ -124,14 +112,11 @@ class MonitorConfig:
     workers: Optional[int] = None
     health: "Optional[HealthConfig]" = None
     shedding: "Optional[SheddingConfig]" = None
-    shards: Optional[int] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "engine", Engine.coerce(self.engine))
         if self.workers is not None and self.workers < 1:
             raise ModelError(f"workers must be >= 1, got {self.workers}")
-        if self.shards is not None and self.shards < 1:
-            raise ModelError(f"shards must be >= 1, got {self.shards}")
 
     def replace(self, **changes) -> "MonitorConfig":
         """A copy with the given fields replaced (validation re-runs)."""

@@ -69,7 +69,7 @@ from repro.core.errors import ModelError
 from repro.core.intervals import ComplexExecutionInterval, ExecutionInterval
 from repro.core.resource import ResourceId, ResourcePool
 from repro.core.timebase import Chronon
-from repro.policies import compiled
+from repro.policies.kernels import pack_keys
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.online.monitor import OnlineMonitor
@@ -845,10 +845,8 @@ class _LocalStream:
     cuts absorb all boundary-priority ties — so the probe walk is
     oblivious to how much of it exists.
 
-    :func:`_phase_walk` consumes this interface; the sharded engine
-    (:mod:`repro.online.sharded`) supplies a merge-across-workers
-    implementation of the same ``sp``/``sr``/``bound``/``exhausted``/
-    ``widen`` surface.
+    :func:`_fast_phase` walks it through the ``sp``/``sr``/``bound``/
+    ``exhausted``/``widen`` surface, which hides the top-k algorithm.
     """
 
     __slots__ = (
@@ -886,7 +884,7 @@ class _LocalStream:
                 # Integer priorities small enough to share an int64 with
                 # the static key: keys are then unique (seq is), so any
                 # slice is ordered by one plain argsort.
-                packed_keys = compiled.pack_keys(prio, static)
+                packed_keys = pack_keys(prio, static)
         self._packed_keys = packed_keys
         self._static = static
 
@@ -976,7 +974,19 @@ def _fast_phase(
     probed: set[ResourceId],
     whole_bag: bool = False,
 ) -> float:
-    """One candidate partition: batch-score, top-k select, walk, refresh."""
+    """One candidate partition: batch-score, top-k select, walk, refresh.
+
+    The walk consumes the partition's sorted :class:`_LocalStream`.
+    Sibling refreshes push fresh keys onto a small overlay heap and
+    invalidate the row's stream entry (the ``dirty`` set), so at every
+    pick the chosen EI minimizes the *current* ``(priority, finish,
+    seq)`` key over eligible candidates — the same invariant the
+    reference heap maintains with stale-entry skipping.  The widening
+    invariant: a pick is only trusted when its key is provably below
+    ``stream.bound``; stream keys always are, overlay keys at or past
+    the bound force the cut to widen geometrically until the comparison
+    is decisive.
+    """
     if rows.size == 0:
         return budget_left
     pool: FastCandidatePool = monitor.pool
@@ -985,45 +995,7 @@ def _fast_phase(
     stream = _LocalStream(
         pool, kernel, rows, chronon, budget_left, monitor._min_probe_cost
     )
-    # Phase membership covers the *whole* partition, not just the
-    # materialized slice — an unmaterialized row's fresh key must reach
-    # the overlay like any other sibling's.  Built lazily by the walk
-    # (only if a sibling refresh actually fires); None when the phase
-    # spans the whole bag, where active implies in-phase.
-    membership = None if whole_bag else (lambda: set(rows.tolist()))
-    return _phase_walk(monitor, chronon, budget_left, probed, stream, membership)
-
-
-def _phase_walk(
-    monitor: "OnlineMonitor",
-    chronon: Chronon,
-    budget_left: float,
-    probed: set[ResourceId],
-    stream,
-    membership_factory,
-) -> float:
-    """The budget walk over one phase's sorted candidate stream.
-
-    ``stream`` supplies the materialized sorted prefix (``sp``/``sr``),
-    the lower ``bound`` on unmaterialized keys, and ``widen()`` —
-    either a :class:`_LocalStream` or the sharded merge stream.
-    Sibling refreshes push fresh keys onto a small overlay heap and
-    invalidate the row's stream entry (the ``dirty`` set), so at every
-    pick the chosen EI minimizes the *current* ``(priority, finish,
-    seq)`` key over eligible candidates — the same invariant the
-    reference heap maintains with stale-entry skipping.  The widening
-    invariant: a pick is only trusted when its key is provably below
-    ``bound``; stream keys always are, overlay keys at or past the
-    bound force the cut to widen geometrically until the comparison is
-    decisive.
-
-    ``membership_factory`` builds the phase-membership container for
-    sibling refreshes on first use (any object supporting ``in``); None
-    means the phase spans the whole bag and needs no check.
-    """
-    pool: FastCandidatePool = monitor.pool
     policy = monitor.policy
-    kernel = monitor._kernel
     resources = monitor.resources
     schedule = monitor.schedule
 
@@ -1045,7 +1017,12 @@ def _phase_walk(
     overlay: list[tuple] = []  # (priority, finish, seq, row, resource)
     cur: dict[int, tuple] = {}  # row -> freshest key among refreshed rows
     dirty: set[int] = set()  # rows whose stream entry was superseded
-    in_phase = None  # any object supporting ``row in in_phase``
+    # Phase membership for sibling refreshes covers the *whole*
+    # partition, not just the materialized slice — an unmaterialized
+    # row's fresh key must reach the overlay like any other sibling's.
+    # Built on the first refresh; stays None when the phase spans the
+    # whole bag, where active implies in-phase.
+    in_phase: Optional[set[int]] = None
 
     while budget_left > _EPS:
         # Advance past permanently-invalid stream entries (captured or
@@ -1164,8 +1141,8 @@ def _phase_walk(
             # (Skipped once the budget is spent: the refresh only feeds
             # later picks of this same phase, so it cannot change the
             # schedule — the reference loop does the work and discards it.)
-            if in_phase is None and membership_factory is not None:
-                in_phase = membership_factory()
+            if in_phase is None and not whole_bag:
+                in_phase = set(rows.tolist())
             _refresh_siblings_fast(
                 pool, kernel, touched, chronon, in_phase, probed, overlay, cur,
                 dirty, reprobe,
@@ -1276,7 +1253,7 @@ def run_fast_span(monitor: "OnlineMonitor", t0: Chronon, t1: Chronon) -> None:
     if pool._packable:
         static = pool.npr_static[rows]
         if kernel.integer_valued and float(np.abs(prio).max()) < float(1 << 20):
-            order = np.argsort(compiled.pack_keys(prio, static))
+            order = np.argsort(pack_keys(prio, static))
         else:
             order = np.lexsort((static, prio))
     else:

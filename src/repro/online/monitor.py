@@ -34,7 +34,6 @@ Two interchangeable engines implement that loop:
 from __future__ import annotations
 
 import heapq
-import multiprocessing
 from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.core.errors import ModelError
@@ -55,12 +54,6 @@ from repro.online.faults import FailureModel, FaultInjector, FaultStats, RetryPo
 from repro.online.fastpath import FastCandidatePool, run_fast_phases, run_fast_span
 from repro.online.health import HealthStats, HealthTracker
 from repro.online.scalarpath import run_scalar_phase, scalar_builder_for
-from repro.online.sharded import (
-    ShardedEngine,
-    ShardingStats,
-    run_sharded_phases,
-    shardable_reason,
-)
 from repro.online.shedding import LoadShedder, SheddingStats
 from repro.policies.base import Policy
 from repro.policies.kernels import resolve_kernel
@@ -267,35 +260,6 @@ class OnlineMonitor:
             self._min_probe_cost = min(
                 (res.probe_cost for res in resources), default=1.0
             )
-        # Sharded scheduling: partition the arena's resources across
-        # persistent forked workers (repro.online.sharded).  Requires the
-        # vectorized engine and an arena; an unshardable kernel or a
-        # fork-less platform falls back to the single-engine path with
-        # the reason recorded rather than failing the run.
-        self._sharded: Optional[ShardedEngine] = None
-        self._sharding_stats: Optional[ShardingStats] = None
-        if cfg.shards is not None:
-            if self.engine != "vectorized":
-                raise ModelError(
-                    "sharded scheduling requires engine='vectorized', "
-                    f"got {self.engine!r}"
-                )
-            if arena is None:
-                raise ModelError(
-                    "sharded scheduling requires a compiled instance arena "
-                    "(pass arena=compile_arena(...))"
-                )
-            self._sharding_stats = ShardingStats(shards=cfg.shards)
-            reason = shardable_reason(self._kernel)
-            if reason is None and "fork" not in multiprocessing.get_all_start_methods():
-                reason = "fork start method unavailable"  # pragma: no cover
-            if reason is not None:
-                self._sharding_stats.demotions += 1
-                self._sharding_stats.demote_reason = reason
-            else:
-                self._sharded = ShardedEngine(
-                    self.pool, cfg.shards, self._kernel, self._sharding_stats
-                )
         num_resources = len(resources) if resources is not None else 0
         policy.on_run_start(num_resources)
 
@@ -324,20 +288,6 @@ class OnlineMonitor:
             # would otherwise observe the pre-arrival empty bag and demote
             # itself immediately.
             self._dispatch_tick()
-        if self._sharded is not None and not self._sharded.attached(self.pool):
-            # Growth churn reallocated the pool's per-run columns away from
-            # the shared segment (adopt_arena after a registering patch):
-            # demote cleanly and finish the run single-engine.  Cancel-
-            # only churn mutates the shared columns in place and stays
-            # sharded.
-            self._sharded.demote(self.pool)
-            self._sharded = None
-            if self._sharding_stats is not None:
-                self._sharding_stats.demotions += 1
-                if self._sharding_stats.demote_reason is None:
-                    self._sharding_stats.demote_reason = (
-                        "arena churn outgrew the shared segment"
-                    )
         self._stepped = True
         self._clock = chronon
         stats = self._dispatch_stats
@@ -386,10 +336,7 @@ class OnlineMonitor:
                 self._probe_resources(selected, chronon, remaining, probed)
             elif self.pool.num_active() > 0:
                 if fast:
-                    if self._sharded is not None:
-                        run_sharded_phases(self, chronon, remaining, probed)
-                    else:
-                        run_fast_phases(self, chronon, remaining, probed)
+                    run_fast_phases(self, chronon, remaining, probed)
                 elif self._scalar_ok:
                     # Sparse side of auto: inlined-priority sorted walk
                     # over the reference pool (selection-identical to
@@ -486,9 +433,6 @@ class OnlineMonitor:
             and kernel is not None
             and kernel.shift_invariant
             and not self._wants_probe_hook
-            # Sharded runs step chronon-by-chronon: the span batcher
-            # bypasses the shard merge stream (idle skips stay allowed).
-            and self._sharded is None
         )
         stats = self._dispatch_stats
         last = epoch.last
@@ -852,23 +796,6 @@ class OnlineMonitor:
     def shedding_stats(self) -> Optional[SheddingStats]:
         """Overload/shedding counters (None unless ``config.shedding`` set)."""
         return self._shedder.stats if self._shedder is not None else None
-
-    @property
-    def sharding_stats(self) -> Optional[ShardingStats]:
-        """Sharded-engine counters (None unless ``config.shards`` set)."""
-        return self._sharding_stats
-
-    def close(self) -> None:
-        """Release run-scoped OS resources (idempotent, safe mid-run).
-
-        Stops the sharded engine's workers and unlinks its shared-memory
-        segment, privatizing the pool's mirror columns so the monitor
-        keeps working (single-engine) if stepped further.  A no-op for
-        unsharded monitors; ``simulate`` calls this after every run.
-        """
-        if self._sharded is not None:
-            self._sharded.demote(self.pool)
-            self._sharded = None
 
     @property
     def health(self) -> Optional[HealthTracker]:

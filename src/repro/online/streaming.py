@@ -187,10 +187,6 @@ class StreamingMonitor:
         """The underlying step-loop monitor (read-only use intended)."""
         return self._monitor
 
-    def close(self) -> None:
-        """Release monitor-held external resources (sharded workers/shm)."""
-        self._monitor.close()
-
     def advance(self, chronons: int = 1) -> Chronon:
         """Execute the next ``chronons`` chronons; returns the new now."""
         if chronons < 0:

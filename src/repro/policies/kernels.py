@@ -50,12 +50,20 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.policies import compiled
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.online.fastpath import FastCandidatePool
     from repro.policies.base import Policy
     from repro.policies.reliability import ExpectedGainPolicy
+
+
+def pack_keys(prio: np.ndarray, static: np.ndarray) -> np.ndarray:
+    """One int64 sort key per row: ``priority * 2^42 + static``.
+
+    ``static`` is the pool's packed ``(finish, seq)`` column (< 2^42), so
+    for integer priorities below 2^20 in magnitude the packed keys order
+    exactly like ``lexsort((static, prio))``.
+    """
+    return prio.astype(np.int64) * (1 << 42) + static
 
 
 class ScoreKernel:
@@ -134,7 +142,7 @@ class SEDFKernel(ScoreKernel):
         cidx: np.ndarray,
         chronon: int,
     ) -> np.ndarray:
-        return compiled.sedf_scores(pool.npr_finish_f[rows], chronon)
+        return pool.npr_finish_f[rows] - (chronon - 1)
 
 
 class MRSFKernel(ScoreKernel):
@@ -150,7 +158,7 @@ class MRSFKernel(ScoreKernel):
         cidx: np.ndarray,
         chronon: int,
     ) -> np.ndarray:
-        return compiled.mrsf_scores(pool.npc_rank_f[cidx], pool.npc_captured_f[cidx])
+        return pool.npc_rank_f[cidx] - pool.npc_captured_f[cidx]
 
     def score_cei(self, pool: "FastCandidatePool", cidx: int, chronon: int) -> float:
         return float(pool.npc_rank_f[cidx] - pool.npc_captured_f[cidx])
@@ -168,9 +176,7 @@ class MEDFKernel(ScoreKernel):
         cidx: np.ndarray,
         chronon: int,
     ) -> np.ndarray:
-        return compiled.medf_scores(
-            pool.npc_medf_s_f[cidx], pool.npc_medf_open_f[cidx], chronon
-        )
+        return pool.npc_medf_s_f[cidx] - pool.npc_medf_open_f[cidx] * chronon
 
     def score_cei(self, pool: "FastCandidatePool", cidx: int, chronon: int) -> float:
         return float(pool.npc_medf_s_f[cidx] - pool.npc_medf_open_f[cidx] * chronon)

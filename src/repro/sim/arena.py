@@ -48,12 +48,8 @@ profiles were known in advance (``tests/test_churn_equivalence.py``).
 from __future__ import annotations
 
 import dataclasses
-import os
-import secrets
-import weakref
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -492,135 +488,3 @@ def apply_patch(
             pool.cancel_cei(patched.cei_obj[patched.cidx_of_cid[cid]])
     return patched
 
-
-# ----------------------------------------------------------------------
-# Shared-memory arena views (the sharded scheduling engine's substrate).
-# ----------------------------------------------------------------------
-
-#: /dev/shm segments created by this process carry this prefix so tests
-#: (and operators) can audit for leaks.
-SHM_PREFIX = "repro-shard"
-
-
-def _release_segment(shm: shared_memory.SharedMemory, owner: bool) -> None:
-    """Detach (and, for the owner, remove) one shared-memory segment.
-
-    Runs from ``weakref.finalize`` / explicit ``close``; every step is
-    best-effort because the segment may already be gone (worker died, or
-    the owner unlinked first) and a leaked *mapping* in a dying process
-    is harmless while a leaked */dev/shm name* is not.
-    """
-    try:
-        shm.close()
-    except BufferError:  # a NumPy view is still alive; mapping freed at exit
-        pass
-    except OSError:  # pragma: no cover - platform-specific detach races
-        pass
-    if owner:
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        except OSError:  # pragma: no cover
-            pass
-
-
-class SharedArenaView:
-    """Zero-copy NumPy columns reconstructed from one shared-memory block.
-
-    ``publish`` lays a set of named 1-D arrays into a single
-    ``multiprocessing.shared_memory`` segment (64-byte-aligned offsets)
-    and returns the owning view; :attr:`manifest` is a picklable layout
-    descriptor — ``{"name", "size", "fields": {name: (offset, dtype,
-    length)}}`` — from which ``attach`` rebuilds the identical arrays in
-    another process without copying a byte.  Writes through any view's
-    arrays are visible to every attached process; the caller provides
-    the ordering barrier (the sharded engine uses its command pipes).
-
-    Lifecycle: the *owner* (publisher) unlinks the segment; attachers
-    only detach.  Both register a ``weakref.finalize`` so segments are
-    reclaimed even on abnormal teardown, and ``attach`` unregisters the
-    segment from ``multiprocessing.resource_tracker`` — otherwise any
-    attaching child's exit would unlink the name out from under the
-    owner (CPython < 3.13 tracks attachments too).
-    """
-
-    __slots__ = ("arrays", "manifest", "owner", "_shm", "_finalizer", "__weakref__")
-
-    def __init__(
-        self,
-        shm: shared_memory.SharedMemory,
-        fields: Mapping[str, tuple],
-        owner: bool,
-    ) -> None:
-        self._shm = shm
-        self.owner = owner
-        self.arrays: Dict[str, np.ndarray] = {}
-        for name, (offset, dtype, length) in fields.items():
-            self.arrays[name] = np.ndarray(
-                (length,), dtype=np.dtype(dtype), buffer=shm.buf, offset=offset
-            )
-        self.manifest = {
-            "name": shm.name,
-            "size": shm.size,
-            "fields": {name: tuple(spec) for name, spec in fields.items()},
-        }
-        self._finalizer = weakref.finalize(self, _release_segment, shm, owner)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.arrays[name]
-
-    @classmethod
-    def publish(
-        cls, columns: Mapping[str, np.ndarray], prefix: str = SHM_PREFIX
-    ) -> "SharedArenaView":
-        """Create a segment holding copies of ``columns`` and own it."""
-        specs: Dict[str, tuple] = {}
-        offset = 0
-        sources: Dict[str, np.ndarray] = {}
-        for name, arr in columns.items():
-            arr = np.ascontiguousarray(arr)
-            if arr.ndim != 1:
-                raise ModelError(
-                    f"shared arena column {name!r} must be 1-D, got {arr.ndim}-D"
-                )
-            offset = -(-offset // 64) * 64  # 64-byte alignment per column
-            specs[name] = (offset, arr.dtype.str, int(arr.shape[0]))
-            offset += arr.nbytes
-            sources[name] = arr
-        name = f"{prefix}-{os.getpid()}-{secrets.token_hex(4)}"
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1), name=name)
-        view = cls(shm, specs, owner=True)
-        for field_name, arr in sources.items():
-            view.arrays[field_name][...] = arr
-        return view
-
-    @classmethod
-    def attach(cls, manifest: Mapping) -> "SharedArenaView":
-        """Rebuild the arrays of a published segment in this process.
-
-        Tracker registration is suppressed for the duration of the
-        attach: CPython < 3.13 registers *attachments* with the
-        ``resource_tracker`` too, which would let any attaching child's
-        exit unlink the segment out from under the owner (and racing
-        register/unregister pairs from sibling shards trip the tracker's
-        bookkeeping).  The owner remains the one tracked registrant.
-        """
-        try:
-            from multiprocessing import resource_tracker
-
-            original = resource_tracker.register
-            resource_tracker.register = lambda name, rtype: None
-            try:
-                shm = shared_memory.SharedMemory(name=manifest["name"])
-            finally:
-                resource_tracker.register = original
-        except ImportError:  # pragma: no cover - tracker module moved
-            shm = shared_memory.SharedMemory(name=manifest["name"])
-        return cls(shm, manifest["fields"], owner=False)
-
-    def close(self) -> None:
-        """Release this view: detach, and unlink if this view owns it."""
-        self._finalizer.detach()
-        self.arrays.clear()
-        _release_segment(self._shm, self.owner)

@@ -30,7 +30,6 @@ from repro.online.config import Engine, MonitorConfig, resolve_config
 from repro.online.faults import FailureModel, RetryPolicy
 from repro.online.health import HealthStats
 from repro.online.monitor import OnlineMonitor
-from repro.online.sharded import ShardingStats
 from repro.online.shedding import SheddingStats
 from repro.policies.base import Policy, make_policy
 from repro.sim.arena import InstanceArena
@@ -58,7 +57,6 @@ class SimulationResult:
     dropped_eis: int = 0
     health: Optional[HealthStats] = None
     shedding: Optional[SheddingStats] = None
-    sharding: Optional[ShardingStats] = None
 
     @property
     def completeness(self) -> float:
@@ -129,11 +127,7 @@ def simulate(
     started = time.perf_counter()
     # run() rather than a bare step loop: the monitor batches event-free
     # chronon stretches (and skips idle ones) with bit-identical results.
-    try:
-        monitor.run(epoch, arrivals)
-    finally:
-        # Sharded runs hold forked workers and a /dev/shm segment.
-        monitor.close()
+    monitor.run(epoch, arrivals)
     elapsed = time.perf_counter() - started
 
     dropped = monitor.dropped_captures
@@ -155,7 +149,6 @@ def simulate(
         dropped_eis=len(dropped),
         health=monitor.health_stats,
         shedding=monitor.shedding_stats,
-        sharding=monitor.sharding_stats,
     )
 
 

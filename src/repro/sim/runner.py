@@ -230,8 +230,9 @@ def run_suite(
     runs every policy cell against it (requires the ``fork`` start
     method, i.e. POSIX; falls back to the serial loop elsewhere) with
     results identical to the serial loop, seed for seed.  The bare
-    ``engine=``/``workers=``/``faults=``/``retry=`` keywords are
-    deprecated.
+    ``engine=``/``workers=``/``faults=``/``retry=`` keywords were removed:
+    passing any of them raises :class:`TypeError` naming the ``config=``
+    replacement.
     """
     cfg = resolve_config(
         config,
@@ -336,7 +337,8 @@ def sweep(
     a first-class sweep hook — it maps each sweep value to the failure
     model for that point (or ``None`` for a failure-free point),
     overriding the template's ``faults`` field per point.  The bare
-    ``engine=``/``workers=``/``retry=`` keywords are deprecated.
+    ``engine=``/``workers=``/``retry=`` keywords were removed: passing any
+    of them raises :class:`TypeError` naming the ``config=`` replacement.
     """
     cfg = resolve_config(
         config, engine=engine, retry=retry, workers=workers, owner="sweep"

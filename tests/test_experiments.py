@@ -322,26 +322,3 @@ class TestSummary:
     def test_self_check_registered_in_cli(self):
         assert "summary" in EXPERIMENTS
 
-
-class TestShardedScalability:
-    def test_sharded_mode_identical_and_reported(self):
-        from repro.experiments import scalability
-
-        result = scalability.run(scale=0.05, seed=3, shards=2)
-        assert "sharded engine" in result.experiment
-        assert [row[-1] for row in result.rows] == ["yes"] * len(result.rows)
-        speedup_column = result.series("speedup")
-        assert all(s > 0 for s in speedup_column)
-
-    def test_run_one_forwards_shards(self):
-        result = run_one(
-            "scalability", scale=0.05, seed=3, reps=0,
-            engine="vectorized", shards=2,
-        )
-        assert "shards=2" in result.experiment
-
-    def test_cli_parses_shards(self):
-        args = build_parser().parse_args(
-            ["run", "scalability", "--scale", "0.05", "--shards", "3"]
-        )
-        assert args.shards == 3

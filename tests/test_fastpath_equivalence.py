@@ -34,6 +34,7 @@ from repro.online.health import HealthConfig
 from repro.online.monitor import OnlineMonitor
 from repro.online.shedding import SheddingConfig
 from repro.policies import MRSF, make_policy
+from repro.sim.arena import compile_arena
 from tests.conftest import make_ei, random_general_instance
 from tests.pool_audit import audited
 
@@ -45,9 +46,9 @@ RELIABILITY_POLICIES = ["EG-S-EDF", "EG-MRSF", "EG-M-EDF", "EG-W-MRSF"]
 NUM_CHRONONS = 30
 
 
-def _instance(seed: int, num_ceis: int = 40):
+def _profiles(seed: int, num_ceis: int = 40):
     rng = np.random.default_rng(seed)
-    profiles = random_general_instance(
+    return random_general_instance(
         rng,
         num_resources=8,
         num_chronons=NUM_CHRONONS,
@@ -55,6 +56,10 @@ def _instance(seed: int, num_ceis: int = 40):
         max_rank=4,
         max_width=5,
     )
+
+
+def _instance(seed: int, num_ceis: int = 40):
+    profiles = _profiles(seed, num_ceis)
     return arrival_map(cei for profile in profiles for cei in profile.ceis)
 
 
@@ -69,6 +74,8 @@ def _run(
     shedding=None,
     **kwargs,
 ) -> OnlineMonitor:
+    if engine == "reference":
+        kwargs.pop("arena", None)  # the reference engine takes no arena
     monitor = OnlineMonitor(
         policy=policy,
         budget=BudgetVector.constant(budget, NUM_CHRONONS),
@@ -850,179 +857,56 @@ def test_property_engines_agree_with_shedding(seed, policy_name, preemptive):
 
 
 # ---------------------------------------------------------------------------
-# Sharded engine equivalence
+# Arena-backed equivalence
 # ---------------------------------------------------------------------------
 
 
-from repro.sim.arena import compile_arena  # noqa: E402
+class TestArenaBackedEquivalence:
+    """A vectorized run over a compiled arena must match the reference.
 
-SHARD_COUNTS = [1, 2, 4, 7]
-
-
-def _profiles(seed: int, num_ceis: int = 40, num_resources: int = 8,
-              max_width: int = 5):
-    rng = np.random.default_rng(seed)
-    return random_general_instance(
-        rng,
-        num_resources=num_resources,
-        num_chronons=NUM_CHRONONS,
-        num_ceis=num_ceis,
-        max_rank=4,
-        max_width=max_width,
-    )
-
-
-def _run_arena(
-    policy_name: str,
-    profiles,
-    budget: float = 2.0,
-    shards=None,
-    faults=None,
-    retry=None,
-    health=None,
-    shedding=None,
-    **kwargs,
-) -> OnlineMonitor:
-    """One vectorized run over a freshly compiled arena of ``profiles``."""
-    arena = compile_arena(profiles)
-    monitor = OnlineMonitor(
-        policy=make_policy(policy_name),
-        budget=BudgetVector.constant(budget, NUM_CHRONONS),
-        config=MonitorConfig(
-            engine="vectorized", shards=shards, faults=faults, retry=retry,
-            health=health, shedding=shedding,
-        ),
-        arena=arena,
-        **kwargs,
-    )
-    try:
-        audited(monitor).run(Epoch(NUM_CHRONONS), arena.arrivals)
-    finally:
-        monitor.close()
-    monitor.check_budget_feasible()
-    return monitor
-
-
-def assert_sharded_agrees(
-    policy_name: str, profiles, shards: int, budget: float = 2.0, **kwargs
-):
-    """A sharded run must be bit-identical to the single-engine run —
-    and must have actually stayed sharded for its whole lifetime."""
-    base = _run_arena(policy_name, profiles, budget, shards=None, **kwargs)
-    cut = _run_arena(policy_name, profiles, budget, shards=shards, **kwargs)
-    stats = cut.sharding_stats
-    assert stats is not None and stats.shards == shards
-    assert stats.demotions == 0, stats.demote_reason
-    assert stats.phases > 0
-    assert cut.schedule.probes == base.schedule.probes
-    assert cut.probes_used == base.probes_used
-    assert cut.probes_failed == base.probes_failed
-    assert cut.retries_used == base.retries_used
-    assert cut.pool.num_satisfied == base.pool.num_satisfied
-    assert cut.pool.num_failed == base.pool.num_failed
-    assert cut.believed_completeness == base.believed_completeness
-    assert cut.fault_stats == base.fault_stats
-    assert cut.dropped_captures == base.dropped_captures
-    if base.shedding_stats is not None or cut.shedding_stats is not None:
-        assert cut.shedding_stats.as_dict() == base.shedding_stats.as_dict()
-    for chronon in range(NUM_CHRONONS):
-        assert cut.budget_consumed_at(chronon) == base.budget_consumed_at(chronon)
-    return base, cut
-
-
-class TestShardedEquivalence:
-    """The shared-memory sharded engine must be bit-identical.
-
-    Per-shard budget-aware top-k streams merge in the coordinator; the
-    merge-release rule (release a pending key only once it is below
-    every live shard bound) must reproduce the single-engine selection
-    order exactly — across policies, execution modes, M-EDF aggregate
-    updates, faults, shedding, heterogeneous costs and forced widening.
-    Shard count 1 pins the degenerate partition; 7 does not divide the
-    resource count, so shards see unequal loads.
+    The arena-backed pool shares the instance's compiled columns instead
+    of registering CEIs one at a time; the extensions that touch its
+    per-run state — heterogeneous probe costs, faults with retries and
+    partial drops, shedding — must keep it bit-identical to the
+    reference engine, with top-k selection on and off.
     """
 
-    @pytest.mark.parametrize("policy_name", PAPER_POLICIES + WEIGHTED_POLICIES)
-    @pytest.mark.parametrize("preemptive", [True, False])
-    def test_schedules_identical(self, policy_name, preemptive):
-        for shards in SHARD_COUNTS:
-            assert_sharded_agrees(
-                policy_name, _profiles(41), shards, preemptive=preemptive
-            )
-
-    @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_faults_and_retries(self, shards):
-        base, _ = assert_sharded_agrees(
-            "M-EDF",
-            _profiles(42),
-            shards,
-            faults=FailureModel(rate=0.4, seed=23, partial_rate=0.3),
-            retry=RetryPolicy(max_retries=2),
-        )
-        assert base.probes_failed > 0 and base.retries_used > 0
-
-    @pytest.mark.parametrize("shards", [2, 4])
-    def test_shedding(self, shards):
-        base, _ = assert_sharded_agrees(
-            "MRSF",
-            _profiles(43, num_ceis=80),
-            shards,
-            budget=1.0,
-            shedding=SheddingConfig(
-                overload_on=1.2, overload_off=1.0, sustain=2, target_ratio=1.0
+    @pytest.mark.parametrize("topk", [True, False])
+    @pytest.mark.parametrize(
+        "policy_name, seed, num_ceis, budget, options",
+        [
+            pytest.param(
+                "S-EDF", 44, 40, 3.0,
+                {"resources": TestResourceModels._pool()},
+                id="heterogeneous-costs",
             ),
-        )
-        assert base.shedding_stats.shed_ceis > 0
-
-    @pytest.mark.parametrize("shards", [2, 7])
-    def test_heterogeneous_costs(self, shards):
-        pool = ResourcePool(
-            [Resource(rid=i, name=f"r{i}", probe_cost=1.0 + (i % 3))
-             for i in range(8)]
-        )
-        assert_sharded_agrees(
-            "S-EDF", _profiles(44), shards, budget=3.0, resources=pool
-        )
-
-    def test_tiny_cuts_force_widening(self):
-        """A capture-heavy bag drains the merged stream mid-phase.
-
-        Higher shard counts need fewer widenings (each shard's cut
-        covers more of its smaller bag), so the exercised-path assertion
-        is on the total across shard counts, not per count.
-        """
-        profiles = _profiles(45, num_ceis=200, num_resources=6, max_width=6)
-        widenings = 0
-        with topk_knobs(overflow=0, growth=2):
-            for shards in (2, 4):
-                _, cut = assert_sharded_agrees(
-                    "MRSF", profiles, shards, budget=4.0
-                )
-                widenings += cut.sharding_stats.widenings
-        assert widenings > 0
-
-    def test_topk_disabled_equals_enabled(self):
-        profiles = _profiles(46)
-        with topk_knobs(enabled=True):
-            topk = _run_arena("M-EDF", profiles, shards=4)
-        with topk_knobs(enabled=False):
-            full = _run_arena("M-EDF", profiles, shards=4)
-        assert topk.schedule.probes == full.schedule.probes
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    policy_name=st.sampled_from(PAPER_POLICIES),
-    shards=st.sampled_from([2, 3, 5]),
-    preemptive=st.booleans(),
-)
-def test_property_sharded_agrees(seed, policy_name, shards, preemptive):
-    """Property form: any partition, the merged walk stays bit-identical."""
-    assert_sharded_agrees(
-        policy_name,
-        _profiles(seed, num_ceis=25),
-        shards,
-        budget=1.5,
-        preemptive=preemptive,
+            pytest.param(
+                "M-EDF", 42, 40, 2.0,
+                {"faults": FailureModel(rate=0.4, seed=23, partial_rate=0.3),
+                 "retry": RetryPolicy(max_retries=2)},
+                id="faults-retries-partials",
+            ),
+            pytest.param(
+                "MRSF", 43, 80, 1.0,
+                {"shedding": SheddingConfig(
+                    overload_on=1.2, overload_off=1.0, sustain=2,
+                    target_ratio=1.0,
+                )},
+                id="shedding",
+            ),
+        ],
     )
+    def test_matches_reference(
+        self, policy_name, seed, num_ceis, budget, options, topk
+    ):
+        arena = compile_arena(_profiles(seed, num_ceis))
+        with topk_knobs(enabled=topk):
+            ref, vec = assert_engines_agree(
+                policy_name, arena.arrivals, budget, arena=arena, **options
+            )
+        assert vec.pool._arena is arena
+        if "faults" in options:
+            assert ref.probes_failed > 0 and ref.retries_used > 0
+            assert ref.dropped_captures  # partial drops fired
+        if "shedding" in options:
+            assert ref.shedding_stats.shed_ceis > 0
